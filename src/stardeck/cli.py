@@ -26,7 +26,7 @@ from .designs import (
     threshold_u_ab,
 )
 from .extremal import check_blocked_edge, gen_uncompletable
-from .oracle import default_budget, has_completion
+from .oracle import has_completion
 from .precentral import BadEdge, BadVertex, delta_t, find_bad, minimal, suitable
 from .realize import Infeasible, realize, subset_check, verify_decomposition
 
@@ -36,8 +36,12 @@ def _err(message: str) -> None:
 
 
 def _load_design(path: str) -> PartialDesign:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_design(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
+    return loads_design(text)
 
 
 def _yesno(flag: bool) -> str:
@@ -65,19 +69,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.file)
-    except OSError as exc:
-        _err(f"cannot read {args.file}: {exc}")
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    try:
-        result = complete(design, oracle_budget=args.budget)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    result = complete(_load_design(args.file), oracle_budget=args.budget)
     if args.json:
         print(canonical_dumps(result.to_doc()))
         return 0 if result.outcome == "completed" else 1
@@ -100,34 +92,24 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.file)
-    except OSError as exc:
-        _err(f"cannot read {args.file}: {exc}")
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    design = _load_design(args.file)
     violations = design.validate()
     if violations:
         print(f"invalid: {len(violations)} violation(s)")
         for violation in violations:
             print(f"  {violation}")
         return 1
-    leftover = design.leftover()
-    total = design.n * (design.n - 1) // 2
+    # stars of a valid design cover k distinct edges each
+    covered = design.k * len(design.stars)
+    left = design.n * (design.n - 1) // 2 - covered
     print(f"valid partial design: n={design.n} k={design.k} stars={len(design.stars)}")
-    print(f"covered-edges: {total - leftover.edge_count} leftover-edges: {leftover.edge_count}")
-    print(f"full-design: {_yesno(leftover.edge_count == 0)}")
+    print(f"covered-edges: {covered} leftover-edges: {left}")
+    print(f"full-design: {_yesno(left == 0)}")
     return 0
 
 
 def cmd_gen_uncompletable(args: argparse.Namespace) -> int:
-    try:
-        design = gen_uncompletable(args.n, args.k)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    design = gen_uncompletable(args.n, args.k)
     cert = check_blocked_edge(design)
     assert cert is not None
     doc = design_to_doc(design)
@@ -150,15 +132,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.file)
-        answer = has_completion(design, budget=args.budget)
-    except OSError as exc:
-        _err(f"cannot read {args.file}: {exc}")
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    answer = has_completion(_load_design(args.file), budget=args.budget)
     print(answer)
     return 0 if answer == "yes" else 1
 
@@ -180,18 +154,7 @@ def _flaw_text(flaw: BadVertex | BadEdge | None) -> str:
 
 
 def cmd_precentral(args: argparse.Namespace) -> int:
-    try:
-        design = _load_design(args.file)
-    except OSError as exc:
-        _err(f"cannot read {args.file}: {exc}")
-        return 2
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    violations = design.validate()
-    if violations:
-        _err("invalid design: " + "; ".join(violations))
-        return 2
+    design = _load_design(args.file)
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         print(
@@ -395,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a design document")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=default_budget())
+    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("verify", help="validate a design document")
@@ -418,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive completability check")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=default_budget())
+    p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("precentral", help="minimal/suitable precentral report")
@@ -443,7 +406,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code is None else int(code)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # input errors: an unreadable or invalid design document, arguments
+        # out of range, or a bad STARDECK_ORACLE_BUDGET
+        _err(str(exc))
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable, Iterable
 
 from .designs import (
     Graph,
@@ -68,7 +69,7 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
     incident edges as center and its k smallest uncovered neighbors as
     leaves.  Below the threshold such a vertex always exists.
     """
-    design._require_valid()
+    leftover = design.leftover()
     n, k = design.n, design.k
     if not is_admissible(n, k) or n < 2 * k:
         raise ValueError("padding requires an admissible order n >= 2k")
@@ -77,7 +78,6 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
         raise ValueError(
             f"design already has {len(design.stars)} > u = {target} stars"
         )
-    leftover = design.leftover()
     adj: list[set[int]] = [set(leftover.neighbors(v)) for v in range(n)]
     stars = list(design.stars)
     while len(stars) < target:
@@ -94,6 +94,11 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
     return PartialDesign(n, k, tuple(stars))
 
 
+def _relabel(stars: Iterable[Star], f: Callable[[int], int]) -> list[Star]:
+    """The stars with every vertex v renamed to f(v)."""
+    return [Star(f(s.center), frozenset(map(f, s.leaves))) for s in stars]
+
+
 def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
     """Remove the smallest vertex that centers stars but is a leaf of none.
 
@@ -108,14 +113,7 @@ def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star
     assert x is not None
     removed = tuple(s for s in design.stars if s.center == x)
     kept = [s for s in design.stars if s.center != x]
-
-    def relabel(v: int) -> int:
-        return v if v < x else v - 1
-
-    smaller_stars = tuple(
-        Star(relabel(s.center), frozenset(relabel(l) for l in s.leaves))
-        for s in kept
-    )
+    smaller_stars = _relabel(kept, lambda v: v if v < x else v - 1)
     smaller = PartialDesign(design.n - 1, design.k, smaller_stars)
     return smaller, x, removed
 
@@ -185,7 +183,7 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
     admissible).  Centers get 2 minus their star count; a computed number of
     highest-leftover-degree non-centers get 2; everyone else gets 1.
     """
-    design._require_valid()
+    leftover = design.leftover()
     n, k = design.n, design.k
     if k < 3:
         raise ValueError("small_order_precentral requires k >= 3")
@@ -199,7 +197,6 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         raise ValueError("design must have exactly u(n, k) stars")
     if design.is_reducible():
         raise ValueError("design must be non-reducible")
-    leftover = design.leftover()
     central = design.central_function()
     centers = [v for v in range(n) if central[v] >= 1]
     if n <= 3 * k:
@@ -239,7 +236,11 @@ def _canonical_design(k: int) -> tuple[Star, ...]:
 
 
 def _relabel_canonical(design: PartialDesign) -> list[Star]:
-    """Map the canonical order-2k design onto the one given star."""
+    """Map the canonical order-2k design onto the one given star.
+
+    Returns the other stars of the mapped design; the given star is the
+    image of the canonical design's first star.
+    """
     n, k = design.n, design.k
     star = design.stars[0]
     canon = _canonical_design(k)
@@ -251,19 +252,21 @@ def _relabel_canonical(design: PartialDesign) -> list[Star]:
     rest_to = sorted(set(range(n)) - {star.center} - star.leaves)
     for a, b in zip(rest_from, rest_to):
         mapping[a] = b
-    return [
-        Star(mapping[s.center], frozenset(mapping[l] for l in s.leaves))
-        for s in canon
-    ]
+    return _relabel(canon[1:], mapping.__getitem__)
 
 
-def _merged(base: PartialDesign, extra: list[Star] | tuple[Star, ...],
+def _merged(n: int, k: int, stars: Iterable[Star],
             trace: list[str]) -> CompletionResult:
-    full = PartialDesign(base.n, base.k, base.stars + tuple(extra))
+    """Accept ``stars`` as a full design of order n; every construction ends here.
+
+    A valid design covers k distinct edges per star, so it covers all of K_n
+    exactly when k times its star count is C(n, 2).
+    """
+    full = PartialDesign(n, k, tuple(stars))
     violations = full.validate()
     if violations:
         raise CompletionDefect("merged design invalid: " + "; ".join(violations))
-    if full.leftover().edge_count != 0:
+    if k * len(full.stars) != n * (n - 1) // 2:
         raise CompletionDefect("merged design does not cover every edge")
     trace.append("merged")
     return CompletionResult("completed", full, trace=tuple(trace))
@@ -317,9 +320,7 @@ def complete(
     certified "impossible", or "unknown" when only the exhaustive oracle
     could decide and the order or node budget rules it out.
     """
-    violations = design.validate()
-    if violations:
-        raise ValueError("invalid design: " + "; ".join(violations))
+    design._require_valid()
     n, k = design.n, design.k
     budget = default_budget() if oracle_budget is None else oracle_budget
     trace: list[str] = ["validated"]
@@ -352,14 +353,7 @@ def complete(
                 f"reduced order-{smaller.n} design failed to complete"
             )
         trace.append("recurse{" + ";".join(sub.trace) + "}")
-
-        def relabel(v: int) -> int:
-            return v if v < x else v + 1
-
-        stars = [
-            Star(relabel(s.center), frozenset(relabel(l) for l in s.leaves))
-            for s in sub.design.stars
-        ]
+        stars = _relabel(sub.design.stars, lambda v: v if v < x else v + 1)
         stars.extend(removed)
         # the removed vertex's uncovered edges, in k-sized blocks
         taken = set().union(*(s.leaves for s in removed))
@@ -367,11 +361,7 @@ def complete(
         assert len(free) % k == 0
         for i in range(0, len(free), k):
             stars.append(Star(x, frozenset(free[i:i + k])))
-        full = PartialDesign(n, k, tuple(stars))
-        if full.validate() or full.leftover().edge_count != 0:
-            raise CompletionDefect("reduction merge produced a broken design")
-        trace.append("merged")
-        return CompletionResult("completed", full, trace=tuple(trace))
+        return _merged(n, k, stars, trace)
 
     if k == 2:
         pairing = decompose_2stars(work.leftover())
@@ -381,18 +371,11 @@ def complete(
                 f"{sorted(pairing.vertices)}"
             )
         trace.append("construction=2star")
-        return _merged(work, pairing, trace)
+        return _merged(n, k, [*work.stars, *pairing], trace)
 
     if n == 2 * k:
         trace.append("construction=relabel-2k")
-        mapped = _relabel_canonical(work)
-        full = PartialDesign(n, k, tuple(mapped))
-        if work.stars[0] not in full.stars:
-            raise CompletionDefect("relabeled canonical design lost the input star")
-        if full.validate() or full.leftover().edge_count != 0:
-            raise CompletionDefect("relabeled canonical design is broken")
-        trace.append("merged")
-        return CompletionResult("completed", full, trace=tuple(trace))
+        return _merged(n, k, [*work.stars, *_relabel_canonical(work)], trace)
 
     if n == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled
@@ -407,7 +390,7 @@ def complete(
         trace.append("construction=small-order")
         p = small_order_precentral(work)
         stars = _realize_or_defect(leftover, k, p, "small-order construction")
-        return _merged(work, stars, trace)
+        return _merged(n, k, [*work.stars, *stars], trace)
 
     trace.append("construction=suitable")
     _check_degree_facts(leftover, k)
@@ -418,7 +401,7 @@ def complete(
             f"suitable function still flawed on in-scope leftover: {residue}"
         )
     stars = _realize_or_defect(leftover, k, p, "suitable construction")
-    return _merged(work, stars, trace)
+    return _merged(n, k, [*work.stars, *stars], trace)
 
 
 def _attempt_over_threshold(
@@ -450,12 +433,12 @@ def _attempt_over_threshold(
                 trace=tuple(trace),
             )
         trace.append("construction=2star")
-        return _merged(design, pairing, trace)
+        return _merged(n, k, [*design.stars, *pairing], trace)
     p = suitable(leftover, k)
     result = realize(leftover, k, p)
     if not isinstance(result, Infeasible):
         trace.append("construction=suitable")
-        return _merged(design, result, trace)
+        return _merged(n, k, [*design.stars, *result], trace)
     trace.append("realize-infeasible")
     if n > oracle_max_n:
         trace.append("oracle=out-of-reach")
@@ -466,7 +449,7 @@ def _attempt_over_threshold(
     if oracle.status == "found":
         trace.append("construction=oracle")
         assert oracle.stars is not None
-        return _merged(design, list(oracle.stars), trace)
+        return _merged(n, k, [*design.stars, *oracle.stars], trace)
     if oracle.status == "none":
         trace.append("certificate=oracle")
         return CompletionResult(

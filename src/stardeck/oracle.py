@@ -146,9 +146,6 @@ def has_completion(design: PartialDesign, budget: int | None = None) -> str:
     Ground-truth check by exhaustive search on the leftover graph; "unknown"
     only when the node budget runs out.
     """
-    violations = design.validate()
-    if violations:
-        raise ValueError("invalid design: " + "; ".join(violations))
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"

@@ -253,6 +253,25 @@ def test_selftest_zero_trials_vacuous_pass(capsys):
     assert "selftest: OK" in out
 
 
+# ------------------------------------------------------------------ budget env
+
+
+def test_bad_budget_variable_fails_only_where_a_budget_is_needed(
+    capsys, monkeypatch, one_star_file
+):
+    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "x")
+    assert main(["threshold", "9", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "n=9 k=3\nadmissible: yes\ndesign-exists: yes\nu: 3\n"
+    )
+    assert main(["complete", one_star_file]) == 2
+    assert capsys.readouterr() == (
+        "", "STARDECK_ORACLE_BUDGET must be an integer, got 'x'\n"
+    )
+    assert main(["complete", one_star_file, "--budget", "5"]) == 0
+    capsys.readouterr()
+
+
 # ------------------------------------------------------------------- top level
 
 

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from stardeck import (
+    CompletionDefect,
     Graph,
     Infeasible,
     PartialDesign,
@@ -23,6 +24,8 @@ from stardeck import (
     threshold_u,
     verify_decomposition,
 )
+from stardeck import completion
+from stardeck.completion import _merged
 
 from conftest import seeded_design
 
@@ -286,6 +289,43 @@ def test_complete_randomized_guarantee_small_grid():
                 _assert_completed(d, complete(d))
                 count += 1
     assert count >= 60
+
+
+# ----------------------------------------------------------------- merge guard
+
+
+@pytest.mark.parametrize(
+    "name, design, step",
+    [
+        ("decompose_2stars", PartialDesign(4, 2), "construction=2star"),
+        (
+            "_canonical_design",
+            PartialDesign(6, 3, (Star(0, frozenset({1, 2, 3})),)),
+            "construction=relabel-2k",
+        ),
+        ("realize", seeded_design(10, 3, 4, seed=12), "construction=small-order"),
+        ("realize", PartialDesign(12, 3), "construction=suitable"),
+    ],
+)
+def test_merge_rejects_construction_one_star_short(monkeypatch, name, design, step):
+    assert step in complete(design).trace
+    original = getattr(completion, name)
+    monkeypatch.setattr(completion, name, lambda *args: original(*args)[:-1])
+    with pytest.raises(CompletionDefect, match="does not cover every edge"):
+        complete(design)
+
+
+def test_merge_rejects_valid_incomplete_stars():
+    with pytest.raises(CompletionDefect, match="does not cover every edge"):
+        _merged(6, 3, [Star(0, frozenset({1, 2, 3}))], [])
+
+
+def test_merge_rejects_doubly_covered_edge():
+    # the star count matches C(6, 2)/3, so only validation can catch this
+    full = complete(PartialDesign(6, 3)).design
+    stars = [*full.stars[:-1], full.stars[0]]
+    with pytest.raises(CompletionDefect, match="covered twice"):
+        _merged(6, 3, stars, [])
 
 
 # -------------------------------------------------------------- over threshold
