@@ -11,9 +11,8 @@ import argparse
 import sys
 from random import Random
 
-from .completion import complete, decompose_2stars
+from .completion import complete
 from .designs import (
-    Graph,
     PartialDesign,
     canonical_dumps,
     design_to_doc,
@@ -23,12 +22,10 @@ from .designs import (
     loads_design,
     random_design,
     threshold_u,
-    threshold_u_ab,
 )
 from .extremal import check_blocked_edge, gen_uncompletable
-from .oracle import has_completion
-from .precentral import BadEdge, BadVertex, delta_t, find_bad, minimal, suitable
-from .realize import Infeasible, realize, subset_check, verify_decomposition
+from .oracle import check_budget, has_completion
+from .precentral import BadEdge, BadVertex, find_bad, minimal, suitable
 
 
 def _err(message: str) -> None:
@@ -42,6 +39,10 @@ def _load_design(path: str) -> PartialDesign:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return loads_design(text)
+
+
+def _budget(args: argparse.Namespace) -> int | None:
+    return None if args.budget is None else check_budget("--budget", args.budget)
 
 
 def _yesno(flag: bool) -> str:
@@ -69,7 +70,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_complete(args: argparse.Namespace) -> int:
-    result = complete(_load_design(args.file), oracle_budget=args.budget)
+    result = complete(_load_design(args.file), oracle_budget=_budget(args))
     if args.json:
         print(canonical_dumps(result.to_doc()))
         return 0 if result.outcome == "completed" else 1
@@ -132,7 +133,7 @@ def cmd_gen_random(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    answer = has_completion(_load_design(args.file), budget=args.budget)
+    answer = has_completion(_load_design(args.file), budget=_budget(args))
     print(answer)
     return 0 if answer == "yes" else 1
 
@@ -190,158 +191,6 @@ def cmd_precentral(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- selftest ---------------------------------------------------------------
-
-def _random_instance(rng: Random, n_max: int, k_choices: list[int]):
-    n = rng.randint(2, n_max)
-    k = rng.choice(k_choices)
-    edges = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5
-    ]
-    rng.shuffle(edges)
-    while len(edges) % k != 0:
-        edges.pop()
-    graph = Graph.from_edges(n, edges)
-    values = [0] * n
-    for _ in range(len(edges) // k):
-        values[rng.randrange(n)] += 1
-    return graph, k, values
-
-
-def _random_even_connected(rng: Random, n_max: int) -> Graph:
-    while True:
-        n = rng.randint(3, max(3, n_max))
-        edges = {(rng.randrange(v), v) for v in range(1, n)}
-        edges = {(min(a, b), max(a, b)) for a, b in edges}
-        for a in range(n):
-            for b in range(a + 1, n):
-                if (a, b) not in edges and rng.random() < 0.3:
-                    edges.add((a, b))
-        if len(edges) % 2 == 1:
-            absent = [
-                (a, b)
-                for a in range(n)
-                for b in range(a + 1, n)
-                if (a, b) not in edges
-            ]
-            if not absent:
-                continue
-            edges.add(absent[rng.randrange(len(absent))])
-        return Graph.from_edges(n, edges)
-
-
-def _suite_thresholds(k_max: int, n_max: int, trials: int, rng: Random) -> int:
-    checks = 0
-    for k in range(2, k_max + 1):
-        for n in range(2, max(60, n_max) + 1):
-            assert threshold_u(n, k) == threshold_u_ab(n, k), (n, k)
-            if is_admissible(n, k) and n >= 2 * k:
-                u = threshold_u(n, k)
-                assert u >= 1 and k * u < n * (n - 1) // 2, (n, k)
-            checks += 1
-    return checks
-
-
-def _suite_completions(k_max: int, n_max: int, trials: int, rng: Random) -> int:
-    checks = 0
-    for k in range(2, k_max + 1):
-        for n in range(2 * k, n_max + 1):
-            if not is_admissible(n, k):
-                continue
-            u = threshold_u(n, k)
-            for _ in range(trials):
-                design = random_design(n, k, rng.randint(0, u), rng)
-                result = complete(design)
-                assert result.outcome == "completed" and result.design is not None
-                assert not result.design.validate()
-                assert result.design.leftover().edge_count == 0
-                assert set(design.stars) <= set(result.design.stars)
-                checks += 1
-    return checks
-
-
-def _suite_tightness(k_max: int, n_max: int, trials: int, rng: Random) -> int:
-    checks = 0
-    for k in range(2, k_max + 1):
-        for n in range(2, n_max + 1):
-            if not is_admissible(n, k):
-                continue
-            design = gen_uncompletable(n, k)
-            assert len(design.stars) == threshold_u(n, k) + 1
-            assert not design.validate()
-            assert check_blocked_edge(design) is not None
-            if n <= 9:
-                assert has_completion(design) == "no", (n, k)
-            checks += 1
-    return checks
-
-
-def _suite_realization(k_max: int, n_max: int, trials: int, rng: Random) -> int:
-    checks = 0
-    for _ in range(trials):
-        graph, k, values = _random_instance(
-            rng, min(10, max(2, n_max)), [x for x in (2, 3, 4) if x <= max(4, k_max)]
-        )
-        built = realize(graph, k, values)
-        audit = subset_check(graph, k, values)
-        if isinstance(built, Infeasible):
-            assert audit is not None, "realize failed but audit passed"
-            assert delta_t(graph, k, values, built.vertices) < 0
-        else:
-            assert audit is None, "realize succeeded but audit failed"
-            assert verify_decomposition(graph, k, built, values)
-        checks += 1
-    return checks
-
-
-def _suite_pairing(k_max: int, n_max: int, trials: int, rng: Random) -> int:
-    checks = 0
-    for _ in range(trials):
-        graph = _random_even_connected(rng, min(12, max(3, n_max)))
-        stars = decompose_2stars(graph)
-        assert not isinstance(stars, Infeasible)
-        assert verify_decomposition(graph, 2, stars)
-        # grafting a pendant edge makes one component odd
-        bumped = Graph.from_edges(
-            graph.n + 1, list(graph.edges) + [(0, graph.n)]
-        )
-        assert isinstance(decompose_2stars(bumped), Infeasible)
-        checks += 2
-    return checks
-
-
-_SUITES = [
-    ("thresholds", _suite_thresholds, False),
-    ("completions", _suite_completions, True),
-    ("tightness", _suite_tightness, False),
-    ("realization", _suite_realization, True),
-    ("2star-pairing", _suite_pairing, True),
-]
-
-
-def cmd_selftest(args: argparse.Namespace) -> int:
-    if args.k_max < 2 or args.n_max < 2 or args.trials < 0:
-        _err("selftest requires k-max >= 2, n-max >= 2, trials >= 0")
-        return 2
-    failed = False
-    for name, suite, needs_trials in _SUITES:
-        if needs_trials and args.trials == 0:
-            print(f"selftest {name}: vacuous pass (trials=0)")
-            continue
-        rng = Random(args.seed)
-        try:
-            checks = suite(args.k_max, args.n_max, args.trials, rng)
-        except Exception as exc:  # noqa: BLE001 - report and keep going
-            print(f"selftest {name}: FAIL ({exc!r})")
-            failed = True
-            continue
-        print(f"selftest {name}: ok ({checks} checks)")
-    if args.trials == 0:
-        print("warning: trials=0 makes the randomized suites vacuous")
-    print("selftest: " + ("FAILED" if failed else "OK"))
-    return 1 if failed else 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stardeck",
@@ -389,13 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_precentral)
 
-    p = sub.add_parser("selftest", help="run the randomized property suites")
-    p.add_argument("--k-max", type=int, default=3, dest="k_max")
-    p.add_argument("--n-max", type=int, default=15, dest="n_max")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=cmd_selftest)
-
     return parser
 
 
@@ -410,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         # input errors: an unreadable or invalid design document, arguments
-        # out of range, or a bad STARDECK_ORACLE_BUDGET
+        # out of range, or a bad --budget or STARDECK_ORACLE_BUDGET
         _err(str(exc))
         return 2
 

@@ -337,6 +337,6 @@ def dumps_design(design: PartialDesign) -> str:
 def loads_design(text: str) -> PartialDesign:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not valid JSON: {exc}") from None
     return design_from_doc(doc)

@@ -31,8 +31,13 @@ def default_budget() -> int:
         raise ValueError(
             f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
         ) from None
+    return check_budget(BUDGET_ENV_VAR, value)
+
+
+def check_budget(source: str, value: int) -> int:
+    """Return a node budget, or raise ValueError naming its source if below 1."""
     if value < 1:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+        raise ValueError(f"{source} must be positive, got {value}")
     return value
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .designs import Graph, Star
-from .precentral import VertexFunction, delta_t, vertex_values
+from .precentral import VertexFunction, vertex_values
 
 
 @dataclass(frozen=True)
@@ -184,5 +184,4 @@ __all__ = [
     "realize",
     "subset_check",
     "verify_decomposition",
-    "delta_t",
 ]

@@ -237,22 +237,6 @@ def test_precentral_shows_repair_and_residual_flaw(capsys, blocked_file):
     )
 
 
-# -------------------------------------------------------------------- selftest
-
-
-def test_selftest_small_run(capsys):
-    assert main(["selftest", "--trials", "5", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert out.endswith("selftest: OK\n")
-
-
-def test_selftest_zero_trials_vacuous_pass(capsys):
-    assert main(["selftest", "--trials", "0", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "warning: trials=0 makes the randomized suites vacuous" in out
-    assert "selftest: OK" in out
-
-
 # ------------------------------------------------------------------ budget env
 
 
@@ -270,6 +254,38 @@ def test_bad_budget_variable_fails_only_where_a_budget_is_needed(
     )
     assert main(["complete", one_star_file, "--budget", "5"]) == 0
     capsys.readouterr()
+
+
+def test_budget_flag_below_one_is_input_error(capsys, one_star_file):
+    for command in ("complete", "oracle"):
+        for budget in ("0", "-5"):
+            assert main([command, one_star_file, "--budget", budget]) == 2
+            assert capsys.readouterr() == (
+                "", f"--budget must be positive, got {budget}\n"
+            )
+
+
+# ------------------------------------------------------------------ file input
+
+_BAD_INPUTS = {
+    "missing": None,
+    "truncated": b'{"n":6,"k":3,"stars":[',
+    "non-utf8": b'{"n":6,"k":3,"stars":[]}\xff\xfe',
+    "non-object": b"[]",
+    "deeply-nested": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("command", ["complete", "verify", "oracle", "precentral"])
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
+    path = tmp_path / "input.json"
+    if _BAD_INPUTS[case] is not None:
+        path.write_bytes(_BAD_INPUTS[case])
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # ------------------------------------------------------------------- top level

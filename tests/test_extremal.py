@@ -89,7 +89,10 @@ def test_generated_designs_certified_on_grid():
     assert seen >= 40
 
 
-@pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+@pytest.mark.parametrize(
+    "n,k",
+    [(4, 2), (5, 2), (8, 2), (9, 2), (3, 3), (4, 3), (6, 3), (7, 3), (9, 3)],
+)
 def test_oracle_confirms_uncompletability(n, k):
     d = gen_uncompletable(n, k)
     assert has_completion(d) == "no"
