@@ -36,7 +36,7 @@ def _load_design(path: str) -> PartialDesign:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return loads_design(text)
 

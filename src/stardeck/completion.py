@@ -281,6 +281,8 @@ def _check_degree_facts(leftover: Graph, k: int) -> None:
         raise CompletionDefect(
             f"expected at most one leftover vertex of degree <= k, found {low}"
         )
+    if sum(1 for d in degrees if d < 2 * k) < 3:
+        return  # a defect needs an adjacent pair plus a third such vertex
     for a, b in leftover.edges:
         if degrees[a] < 2 * k and degrees[b] < 2 * k:
             others = [
@@ -353,7 +355,8 @@ def complete(
                 f"reduced order-{smaller.n} design failed to complete"
             )
         trace.append("recurse{" + ";".join(sub.trace) + "}")
-        stars = _relabel(sub.design.stars, lambda v: v if v < x else v + 1)
+        stars = _relabel(sub.design.stars, [*range(x), *range(x + 1, n)].__getitem__)
+        del sub  # free the sub-design's stars before the merged design is validated
         stars.extend(removed)
         # the removed vertex's uncovered edges, in k-sized blocks
         taken = set().union(*(s.leaves for s in removed))
@@ -401,6 +404,7 @@ def complete(
             f"suitable function still flawed on in-scope leftover: {residue}"
         )
     stars = _realize_or_defect(leftover, k, p, "suitable construction")
+    del leftover, p  # free the O(n^2) leftover before the merged design is validated
     return _merged(n, k, [*work.stars, *stars], trace)
 
 

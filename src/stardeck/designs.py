@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations, filterfalse
 from random import Random
 from typing import Iterable, Sequence
 
@@ -28,7 +29,8 @@ class Star:
     leaves: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "leaves", frozenset(self.leaves))
+        if type(self.leaves) is not frozenset:
+            object.__setattr__(self, "leaves", frozenset(self.leaves))
 
     def edges(self) -> list[tuple[int, int]]:
         """The star's edges as normalized (low, high) pairs."""
@@ -48,18 +50,24 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
+        n = self.n
+        # a frozenset of normalized in-range pairs is kept as it is
+        if type(self.edges) is frozenset and all(
+            0 <= a < b < n for a, b in self.edges
+        ):
+            return
         norm = set()
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             norm.add(_norm_edge(a, b))
         object.__setattr__(self, "edges", frozenset(norm))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset((a, b) for a in range(n) for b in range(a + 1, n)))
+        return cls(n, frozenset(combinations(range(n), 2)))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -69,14 +77,22 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def _ascending(self) -> list[tuple[int, int]]:
+        cached = self.__dict__.get("_sorted")
+        if cached is None:
+            cached = sorted(self.edges)
+            self.__dict__["_sorted"] = cached
+        return cached
+
     def _adjacency(self) -> tuple[tuple[int, ...], ...]:
         cached = self.__dict__.get("_adj")
         if cached is None:
-            sets: list[set[int]] = [set() for _ in range(self.n)]
-            for a, b in self.edges:
-                sets[a].add(b)
-                sets[b].add(a)
-            cached = tuple(tuple(sorted(s)) for s in sets)
+            rows: list[list[int]] = [[] for _ in range(self.n)]
+            # ascending edges fill every row in ascending order
+            for a, b in self._ascending():
+                rows[a].append(b)
+                rows[b].append(a)
+            cached = tuple(map(tuple, rows))
             self.__dict__["_adj"] = cached
         return cached
 
@@ -94,7 +110,8 @@ class Graph:
         return _norm_edge(a, b) in self.edges
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges in ascending order, as a list the caller may keep."""
+        return list(self._ascending())
 
 
 def is_admissible(n: int, k: int) -> bool:
@@ -155,39 +172,38 @@ class PartialDesign:
 
     def validate(self) -> list[str]:
         """All rule violations, empty when the design is valid."""
+        n, k = self.n, self.k
         out: list[str] = []
-        if self.n < 1:
-            out.append(f"n must be >= 1, got {self.n}")
-        if self.k < 2:
-            out.append(f"k must be >= 2, got {self.k}")
+        if n < 1:
+            out.append(f"n must be >= 1, got {n}")
+        if k < 2:
+            out.append(f"k must be >= 2, got {k}")
         covered: dict[tuple[int, int], int] = {}
         for i, star in enumerate(self.stars):
-            ok = True
-            if not (0 <= star.center < self.n):
-                out.append(f"star {i}: center {star.center} out of range")
+            center, leaves = star.center, star.leaves
+            ok = 0 <= center < n
+            if not ok:
+                out.append(f"star {i}: center {center} out of range")
+            if leaves and not (0 <= min(leaves) and max(leaves) < n):
+                for leaf in sorted(leaves):
+                    if not (0 <= leaf < n):
+                        out.append(f"star {i}: leaf {leaf} out of range")
                 ok = False
-            for leaf in star.sorted_leaves():
-                if not (0 <= leaf < self.n):
-                    out.append(f"star {i}: leaf {leaf} out of range")
-                    ok = False
-            if star.center in star.leaves:
-                out.append(f"star {i}: center {star.center} is also a leaf")
+            if center in leaves:
+                out.append(f"star {i}: center {center} is also a leaf")
                 ok = False
-            if len(star.leaves) != self.k:
-                out.append(
-                    f"star {i}: has {len(star.leaves)} leaves, expected {self.k}"
-                )
+            if len(leaves) != k:
+                out.append(f"star {i}: has {len(leaves)} leaves, expected {k}")
             if not ok:
                 continue
-            for edge in star.edges():
-                if edge in covered:
-                    a, b = edge
+            for leaf in leaves:
+                edge = (center, leaf) if center < leaf else (leaf, center)
+                first = covered.setdefault(edge, i)
+                if first != i:
                     out.append(
-                        f"edge {{{a},{b}}} covered twice"
-                        f" (stars {covered[edge]} and {i})"
+                        f"edge {{{edge[0]},{edge[1]}}} covered twice"
+                        f" (stars {first} and {i})"
                     )
-                else:
-                    covered[edge] = i
         return out
 
     def _require_valid(self) -> None:
@@ -205,13 +221,11 @@ class PartialDesign:
         """The graph of K_n edges not covered by any star."""
         self._require_valid()
         covered = self.covered_edges()
-        edges = (
-            (a, b)
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-            if (a, b) not in covered
-        )
-        return Graph.from_edges(self.n, edges)
+        # K_n's pairs come in ascending order, which seeds the sorted cache
+        edges = list(filterfalse(covered.__contains__, combinations(range(self.n), 2)))
+        graph = Graph(self.n, frozenset(edges))
+        graph.__dict__["_sorted"] = edges
+        return graph
 
     def central_function(self) -> CentralFunction:
         """How many stars each vertex centers.  Pure counting; no validity check."""

@@ -10,6 +10,7 @@ fixed denominator 2k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -116,9 +117,14 @@ def find_bad(p: VertexFunction, graph: Graph, k: int) -> BadVertex | BadEdge | N
     for y in range(graph.n):
         if degrees[y] < k and values[y] == 1:
             return BadVertex(y)
-    for a, b in graph.sorted_edges():
-        if values[a] == 0 and values[b] == 0:
-            return BadEdge(a, b)
+    # the first bad edge has the smallest value-0 low end, then the smallest
+    # value-0 high end among its ascending neighbors
+    for a in range(graph.n):
+        if values[a] == 0:
+            row = graph.neighbors(a)
+            for b in row[bisect_right(row, a):]:
+                if values[b] == 0:
+                    return BadEdge(a, b)
     return None
 
 

@@ -83,6 +83,9 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
         return False
 
     for ei, (a, b) in enumerate(edges):
+        if used[a] < cap[a]:  # what place() would do first, without its set
+            attach(ei, a)
+            continue
         visited = {a}
         if place(ei, a, visited):
             continue

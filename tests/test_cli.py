@@ -286,6 +286,8 @@ def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
+    if case == "non-utf8":
+        assert err.startswith(f"cannot read {path}: ")
 
 
 # ------------------------------------------------------------------- top level

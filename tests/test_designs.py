@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,49 @@ def test_graph_rejects_loops_and_out_of_range():
         Graph.from_edges(4, [(0, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(4, [(-1, 2)])
+
+
+@pytest.mark.parametrize("wrap", [frozenset, set, list])
+def test_graph_normalizes_any_edge_collection(wrap):
+    g = Graph(4, wrap([(2, 1), (0, 3), (3, 0)]))
+    assert type(g.edges) is frozenset
+    assert g.edges == {(1, 2), (0, 3)}
+    assert g.neighbors(3) == (0,)
+
+
+@pytest.mark.parametrize("wrap", [frozenset, set, list])
+@pytest.mark.parametrize("pair, message", [
+    ((1, 1), "loop at vertex 1"),
+    ((0, 4), "edge (0,4) out of range for n=4"),
+    ((4, 0), "edge (4,0) out of range for n=4"),
+    ((-1, 2), "edge (-1,2) out of range for n=4"),
+])
+def test_graph_rejects_bad_pair_in_any_collection(wrap, pair, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Graph(4, wrap([(0, 1), pair]))
+
+
+def test_graph_keeps_a_normalized_frozenset():
+    edges = frozenset({(0, 1), (1, 3), (2, 3)})
+    assert Graph(4, edges).edges is edges
+
+
+def test_sorted_edges_returns_a_fresh_list():
+    g = Graph.from_edges(4, [(2, 3), (0, 1), (1, 3)])
+    first = g.sorted_edges()
+    first.append((0, 2))
+    first.reverse()
+    assert g.sorted_edges() == [(0, 1), (1, 3), (2, 3)]
+    leftover = PartialDesign(4, 2, (Star(0, frozenset({1, 2})),)).leftover()
+    leftover.sorted_edges().clear()
+    assert leftover.sorted_edges() == [(0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("leaves", [[3, 1, 2], {1, 2, 3}, (3, 2, 1)])
+def test_star_leaves_are_always_a_frozenset(leaves):
+    s = Star(0, leaves)
+    assert type(s.leaves) is frozenset and s.leaves == {1, 2, 3}
+    assert s == Star(0, frozenset({1, 2, 3}))
 
 
 def test_complete_graph_edge_counts():
@@ -147,6 +191,41 @@ def test_validate_reports_all_violations():
 def test_validate_leaf_out_of_range():
     d = PartialDesign(6, 3, (Star(0, frozenset({1, 2, 9})),))
     assert d.validate() == ["star 0: leaf 9 out of range"]
+
+
+def test_validate_names_first_coverer_of_each_repeat():
+    d = PartialDesign(6, 2, (
+        Star(0, frozenset({1, 2})),
+        Star(1, frozenset({0, 3})),
+        Star(0, frozenset({1, 4})),
+    ))
+    assert d.validate() == [
+        "edge {0,1} covered twice (stars 0 and 1)",
+        "edge {0,1} covered twice (stars 0 and 2)",
+    ]
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (Star(0, frozenset({1, 2, 9})), "leaf 9 out of range"),
+    (Star(1, frozenset({1, 2, 3})), "center 1 is also a leaf"),
+    (Star(7, frozenset({1, 2, 3})), "center 7 out of range"),
+])
+def test_invalid_star_covers_no_edges(bad, problem):
+    # recorded edges of the invalid stars would repeat between the two
+    # copies, and at {0,2} or {1,2} with the valid star after them
+    d = PartialDesign(6, 3, (bad, bad, Star(2, frozenset({0, 1, 3}))))
+    assert d.validate() == [f"star 0: {problem}", f"star 1: {problem}"]
+
+
+def test_validate_lists_out_of_range_leaves_ascending():
+    d = PartialDesign(6, 4, (Star(0, frozenset({12, -1, 2, 6, -7})),))
+    assert d.validate() == [
+        "star 0: leaf -7 out of range",
+        "star 0: leaf -1 out of range",
+        "star 0: leaf 6 out of range",
+        "star 0: leaf 12 out of range",
+        "star 0: has 5 leaves, expected 4",
+    ]
 
 
 def test_validate_bad_parameters():

@@ -24,7 +24,7 @@ from stardeck import (
     threshold_u,
 )
 
-from conftest import graphs_divisible
+from conftest import graphs, graphs_divisible
 
 
 def _exhaustive_min_abs_residue(g: Graph, k: int) -> Fraction:
@@ -176,6 +176,25 @@ def test_find_bad_prefers_vertex_over_edge():
     # vertex 0: degree 1 < k with value 1; edge {1,2} has two zero endpoints
     g = Graph.from_edges(4, [(0, 3), (1, 2)])
     assert find_bad([1, 0, 0, 1], g, 3) == BadVertex(0)
+
+
+def _find_bad_reference(values, graph: Graph, k: int):
+    """find_bad as a plain scan: vertices, then every edge in sorted order."""
+    degrees = graph.degrees()
+    for y in range(graph.n):
+        if degrees[y] < k and values[y] == 1:
+            return BadVertex(y)
+    for a, b in sorted(graph.edges):
+        if values[a] == 0 and values[b] == 0:
+            return BadEdge(a, b)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5), graphs(max_n=14), st.data())
+def test_find_bad_matches_sorted_edge_scan(k, g, data):
+    values = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    assert find_bad(values, g, k) == _find_bad_reference(values, g, k)
 
 
 # -------------------------------------------------------------------- suitable
