@@ -283,17 +283,20 @@ def _check_degree_facts(leftover: Graph, k: int) -> None:
         )
     if sum(1 for d in degrees if d < 2 * k) < 3:
         return  # a defect needs an adjacent pair plus a third such vertex
-    for a, b in leftover.edges:
-        if degrees[a] < 2 * k and degrees[b] < 2 * k:
-            others = [
-                v for v in range(leftover.n)
-                if v not in (a, b) and degrees[v] < 2 * k
-            ]
-            if others:
-                raise CompletionDefect(
-                    f"adjacent low-degree pair ({a},{b}) plus further "
-                    f"low-degree vertices {others} in leftover"
-                )
+    for a, row in enumerate(leftover.rows):
+        if degrees[a] >= 2 * k:
+            continue
+        for b in row:
+            if b > a and degrees[b] < 2 * k:
+                others = [
+                    v for v in range(leftover.n)
+                    if v not in (a, b) and degrees[v] < 2 * k
+                ]
+                if others:
+                    raise CompletionDefect(
+                        f"adjacent low-degree pair ({a},{b}) plus further "
+                        f"low-degree vertices {others} in leftover"
+                    )
 
 
 def _realize_or_defect(leftover: Graph, k: int, p: Precentral,

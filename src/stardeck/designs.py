@@ -9,8 +9,10 @@ when the stars cover every edge of the complete graph K_n.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations, filterfalse
+from functools import cached_property
+from itertools import filterfalse
 from random import Random
 from typing import Iterable, Sequence
 
@@ -40,78 +42,85 @@ class Star:
         return sorted(self.leaves)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with normalized edge set."""
+    """Immutable simple graph on vertices 0..n-1, stored as adjacency rows.
+
+    ``rows[v]`` holds v's neighbors in ascending order.  The edge set is
+    derived from the rows the first time ``edges`` is read.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        n = self.n
         # a frozenset of normalized in-range pairs is kept as it is
-        if type(self.edges) is frozenset and all(
-            0 <= a < b < n for a, b in self.edges
-        ):
-            return
-        norm = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"loop at vertex {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            norm.add(_norm_edge(a, b))
-        object.__setattr__(self, "edges", frozenset(norm))
+        if not (type(edges) is frozenset and all(0 <= a < b < n for a, b in edges)):
+            norm = set()
+            for a, b in edges:
+                if a == b:
+                    raise ValueError(f"loop at vertex {a}")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+                norm.add(_norm_edge(a, b))
+            edges = frozenset(norm)
+        rows: list[list[int]] = [[] for _ in range(n)]
+        # ascending edges fill every row in ascending order
+        for a, b in sorted(edges):
+            rows[a].append(b)
+            rows[b].append(a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        self.__dict__["edges"] = edges
+
+    @classmethod
+    def _of_rows(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
+        """A graph on rows the caller built symmetric and ascending; no check."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "rows", rows)
+        return graph
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset(combinations(range(n), 2)))
+        vertices = list(range(n))  # rows share these int objects
+        return cls._of_rows(n, tuple((*vertices[:v], *vertices[v + 1:]) for v in vertices))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, frozenset(tuple(p) for p in pairs))
 
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as normalized (low, high) pairs."""
+        return frozenset(self.sorted_edges())
+
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def _ascending(self) -> list[tuple[int, int]]:
-        cached = self.__dict__.get("_sorted")
-        if cached is None:
-            cached = sorted(self.edges)
-            self.__dict__["_sorted"] = cached
-        return cached
-
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        cached = self.__dict__.get("_adj")
-        if cached is None:
-            rows: list[list[int]] = [[] for _ in range(self.n)]
-            # ascending edges fill every row in ascending order
-            for a, b in self._ascending():
-                rows[a].append(b)
-                rows[b].append(a)
-            cached = tuple(map(tuple, rows))
-            self.__dict__["_adj"] = cached
-        return cached
+        return sum(map(len, self.rows)) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
-        return self._adjacency()[v]
+        return self.rows[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency()[v])
+        return len(self.rows[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self._adjacency())
+        return tuple(map(len, self.rows))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return _norm_edge(a, b) in self.edges
+        return 0 <= a < self.n and b in self.rows[a]
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         """The edges in ascending order, as a list the caller may keep."""
-        return list(self._ascending())
+        return [
+            (a, b)
+            for a, row in enumerate(self.rows)
+            for b in row[bisect_right(row, a):]
+        ]
 
 
 def is_admissible(n: int, k: int) -> bool:
@@ -178,7 +187,8 @@ class PartialDesign:
             out.append(f"n must be >= 1, got {n}")
         if k < 2:
             out.append(f"k must be >= 2, got {k}")
-        covered: dict[tuple[int, int], int] = {}
+        # a covered edge {a, b}, a < b, is keyed by the int a * n + b
+        covered: dict[int, int] = {}
         for i, star in enumerate(self.stars):
             center, leaves = star.center, star.leaves
             ok = 0 <= center < n
@@ -197,12 +207,12 @@ class PartialDesign:
             if not ok:
                 continue
             for leaf in leaves:
-                edge = (center, leaf) if center < leaf else (leaf, center)
-                first = covered.setdefault(edge, i)
+                key = center * n + leaf if center < leaf else leaf * n + center
+                first = covered.setdefault(key, i)
                 if first != i:
+                    a, b = divmod(key, n)
                     out.append(
-                        f"edge {{{edge[0]},{edge[1]}}} covered twice"
-                        f" (stars {first} and {i})"
+                        f"edge {{{a},{b}}} covered twice (stars {first} and {i})"
                     )
         return out
 
@@ -211,21 +221,20 @@ class PartialDesign:
         if violations:
             raise ValueError("invalid design: " + "; ".join(violations))
 
-    def covered_edges(self) -> set[tuple[int, int]]:
-        out: set[tuple[int, int]] = set()
-        for star in self.stars:
-            out.update(star.edges())
-        return out
-
     def leftover(self) -> Graph:
         """The graph of K_n edges not covered by any star."""
         self._require_valid()
-        covered = self.covered_edges()
-        # K_n's pairs come in ascending order, which seeds the sorted cache
-        edges = list(filterfalse(covered.__contains__, combinations(range(self.n), 2)))
-        graph = Graph(self.n, frozenset(edges))
-        graph.__dict__["_sorted"] = edges
-        return graph
+        vertices = list(range(self.n))  # rows share these int objects
+        # each vertex's covered partners, plus the vertex itself
+        covered = [{v} for v in vertices]
+        for star in self.stars:
+            center = star.center
+            covered[center].update(star.leaves)
+            for leaf in star.leaves:
+                covered[leaf].add(center)
+        return Graph._of_rows(self.n, tuple(
+            tuple(filterfalse(row.__contains__, vertices)) for row in covered
+        ))
 
     def central_function(self) -> CentralFunction:
         """How many stars each vertex centers.  Pure counting; no validity check."""

@@ -9,8 +9,9 @@ supply-demand balance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, filterfalse
 
 from .designs import Graph, Star
 from .precentral import VertexFunction, vertex_values
@@ -53,59 +54,56 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     """
     values = _checked_values(graph, k, p)
     n = graph.n
-    edges = graph.sorted_edges()
     cap = [k * v for v in values]
     used = [0] * n
+    # holder[x] lists the far ends of the edges handed to x, in hand-over order
     holder: list[list[int]] = [[] for _ in range(n)]
-    assigned = [-1] * len(edges)
 
-    def attach(ei: int, x: int) -> None:
-        assigned[ei] = x
-        holder[x].append(ei)
-        used[x] += 1
-
-    def place(ei: int, x: int, visited: set[int]) -> bool:
-        # make room at x, relocating one of its edges if necessary
-        if used[x] < cap[x]:
-            attach(ei, x)
-            return True
-        for ej in holder[x]:
-            a, b = edges[ej]
-            y = b if a == x else a
-            if y in visited:
+    def place(y: int, x: int, visited: set[int]) -> bool:
+        # hand edge {x, y} to the full vertex x by relocating one of its edges
+        hx = holder[x]
+        for z in filterfalse(visited.__contains__, hx):
+            visited.add(z)
+            if used[z] < cap[z]:
+                holder[z].append(x)
+                used[z] += 1
+            elif not place(x, z, visited):
                 continue
-            visited.add(y)
-            if place(ej, y, visited):
-                holder[x].remove(ej)
-                used[x] -= 1
-                attach(ei, x)
-                return True
+            hx.remove(z)
+            hx.append(y)
+            return True
         return False
 
-    for ei, (a, b) in enumerate(edges):
-        if used[a] < cap[a]:  # what place() would do first, without its set
-            attach(ei, a)
-            continue
-        visited = {a}
-        if place(ei, a, visited):
-            continue
-        visited.add(b)
-        place(ei, b, visited)
+    unplaced: list[tuple[int, int]] = []
+    for a, row in enumerate(graph.rows):
+        later = row[bisect_right(row, a):]
+        # used[a] never falls, so a takes exactly its row's leading edges
+        taken = later[:cap[a] - used[a]]
+        holder[a].extend(taken)
+        used[a] += len(taken)
+        for b in later[len(taken):]:
+            visited = {a}
+            if place(b, a, visited):
+                continue
+            if used[b] < cap[b]:
+                holder[b].append(a)
+                used[b] += 1
+                continue
+            visited.add(b)
+            if not place(a, b, visited):
+                unplaced.append((a, b))
 
-    if any(e == -1 for e in assigned):
+    if unplaced:
         reached: set[int] = set()
         frontier: list[int] = []
-        for ei, owner in enumerate(assigned):
-            if owner == -1:
-                for x in edges[ei]:
-                    if x not in reached:
-                        reached.add(x)
-                        frontier.append(x)
+        for edge in unplaced:
+            for x in edge:
+                if x not in reached:
+                    reached.add(x)
+                    frontier.append(x)
         while frontier:
             x = frontier.pop()
-            for ej in holder[x]:
-                a, b = edges[ej]
-                y = b if a == x else a
+            for y in holder[x]:
                 if y not in reached:
                     reached.add(y)
                     frontier.append(y)
@@ -116,8 +114,7 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     stars: list[Star] = []
     for v in range(n):
         assert used[v] == cap[v]
-        others = sorted(edges[ei][1] if edges[ei][0] == v else edges[ei][0]
-                        for ei in holder[v])
+        others = sorted(holder[v])
         for i in range(0, len(others), k):
             stars.append(Star(v, frozenset(others[i:i + k])))
     return stars

@@ -17,10 +17,14 @@ from stardeck import (
     decompose_2stars,
     design_exists,
     design_from_doc,
+    find_bad,
     gen_uncompletable,
+    minimal,
     pad_to_threshold,
+    realize,
     reduce_design,
     small_order_precentral,
+    suitable,
     threshold_u,
     verify_decomposition,
 )
@@ -261,6 +265,21 @@ def test_complete_large_order_route():
     d = seeded_design(13, 3, 6, seed=3)
     r = complete(d)
     _assert_completed(d, r)
+
+
+@pytest.mark.parametrize("design", [
+    pad_to_threshold(seeded_design(30, 3, 4, seed=5)),
+    seeded_design(12, 3, 6, seed=4),  # three leftover degrees below 2k: the pair scan runs
+])
+def test_threshold_path_never_builds_the_edge_set(design):
+    leftover = design.leftover()
+    completion._check_degree_facts(leftover, 3)
+    minimal(leftover, 3)
+    p = suitable(leftover, 3)
+    assert find_bad(p, leftover, 3) is None
+    stars = realize(leftover, 3, p)
+    assert "edges" not in leftover.__dict__
+    assert verify_decomposition(leftover, 3, stars, p)
 
 
 def test_complete_full_design_is_identity():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,28 @@ def test_sorted_edges_returns_a_fresh_list():
     leftover = PartialDesign(4, 2, (Star(0, frozenset({1, 2})),)).leftover()
     leftover.sorted_edges().clear()
     assert leftover.sorted_edges() == [(0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+def test_complete_graph_equals_graph_of_all_pairs(n):
+    g = Graph.complete(n)
+    ref = Graph(n, combinations(range(n), 2))
+    assert g == ref and hash(g) == hash(ref)
+    assert g.edges == ref.edges
+
+
+def test_edges_is_a_frozenset_of_the_sorted_edges():
+    design = PartialDesign(7, 3, (Star(0, frozenset({1, 2, 3})),))
+    for g in (Graph.complete(7), design.leftover(), Graph.from_edges(5, [(3, 1), (0, 4)])):
+        assert type(g.edges) is frozenset
+        assert g.edges == set(g.sorted_edges())
+
+
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (4, 0), (0, 4), (-5, 9), (2, 2)])
+def test_has_edge_is_false_off_the_graph(a, b):
+    g = Graph.complete(4)
+    assert g.has_edge(a, b) is False
+    assert g.has_edge(3, 0) and g.has_edge(0, 3)
 
 
 @pytest.mark.parametrize("leaves", [[3, 1, 2], {1, 2, 3}, (3, 2, 1)])
@@ -270,6 +293,24 @@ def test_leftover_edge_count_identity_random(seed):
     d = random_design(n, k, m, rng)
     assert d.validate() == []
     assert d.leftover().edge_count == n * (n - 1) // 2 - k * m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_leftover_is_complete_graph_minus_covered_pairs(seed):
+    rng = random.Random(seed)
+    k = rng.choice([2, 3, 4, 5])
+    n = rng.randint(2 * k, 18)
+    d = random_design(n, k, rng.randint(0, threshold_u(n, k) + 1), rng)
+    covered = {(min(s.center, x), max(s.center, x)) for s in d.stars for x in s.leaves}
+    pairs = [e for e in combinations(range(n), 2) if e not in covered]
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        rows[a].append(b)
+        rows[b].append(a)
+    left = d.leftover()
+    assert left.rows == tuple(tuple(sorted(row)) for row in rows)
+    assert left.edges == frozenset(pairs)
 
 
 # ------------------------------------------------------------ central function

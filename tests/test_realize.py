@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeck import (
     Graph,
@@ -18,6 +19,9 @@ from stardeck import (
     subset_check,
     verify_decomposition,
 )
+from stardeck.precentral import vertex_values
+
+from conftest import graphs_divisible
 
 
 def _random_instance(rng: random.Random) -> tuple[Graph, int, list[int]]:
@@ -156,3 +160,146 @@ def test_realize_agrees_with_subset_check():
             assert verdict is None
             assert verify_decomposition(g, k, out, p)
     assert feasible >= 30 and infeasible >= 30
+
+
+# ------------------------------------------------------------------- reference
+
+
+def _realize_reference(graph: Graph, k: int, p) -> list[Star] | Infeasible:
+    """realize over a sorted edge list with per-edge owner indices.
+
+    The package's realize runs the same augmenting-path search over
+    adjacency rows; the two must give identical outputs.
+    """
+    values = vertex_values(p, graph.n)
+    n = graph.n
+    edges = sorted(graph.edges)
+    cap = [k * v for v in values]
+    used = [0] * n
+    holder: list[list[int]] = [[] for _ in range(n)]
+    assigned = [-1] * len(edges)
+
+    def attach(ei: int, x: int) -> None:
+        assigned[ei] = x
+        holder[x].append(ei)
+        used[x] += 1
+
+    def place(ei: int, x: int, visited: set[int]) -> bool:
+        if used[x] < cap[x]:
+            attach(ei, x)
+            return True
+        for ej in holder[x]:
+            a, b = edges[ej]
+            y = b if a == x else a
+            if y in visited:
+                continue
+            visited.add(y)
+            if place(ej, y, visited):
+                holder[x].remove(ej)
+                used[x] -= 1
+                attach(ei, x)
+                return True
+        return False
+
+    for ei, (a, b) in enumerate(edges):
+        if used[a] < cap[a]:
+            attach(ei, a)
+            continue
+        visited = {a}
+        if place(ei, a, visited):
+            continue
+        visited.add(b)
+        place(ei, b, visited)
+
+    if any(e == -1 for e in assigned):
+        reached: set[int] = set()
+        frontier: list[int] = []
+        for ei, owner in enumerate(assigned):
+            if owner == -1:
+                for x in edges[ei]:
+                    if x not in reached:
+                        reached.add(x)
+                        frontier.append(x)
+        while frontier:
+            x = frontier.pop()
+            for ej in holder[x]:
+                a, b = edges[ej]
+                y = b if a == x else a
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        return Infeasible("cut", frozenset(range(n)) - reached)
+
+    stars: list[Star] = []
+    for v in range(n):
+        others = sorted(edges[ei][1] if edges[ei][0] == v else edges[ei][0]
+                        for ei in holder[v])
+        for i in range(0, len(others), k):
+            stars.append(Star(v, frozenset(others[i:i + k])))
+    return stars
+
+
+@st.composite
+def _instances(draw: st.DrawFn) -> tuple[Graph, int, list[int]]:
+    """(graph, k, p) with sum(p)*k = |E|: minimal, or |E|/k units spread at random."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    g = draw(graphs_divisible(k, max_n=14))
+    if g.edge_count and draw(st.booleans()):
+        return g, k, list(minimal(g, k).values)
+    values = [0] * g.n
+    for x in draw(st.lists(st.integers(0, g.n - 1), min_size=g.edge_count // k,
+                           max_size=g.edge_count // k)):
+        values[x] += 1
+    return g, k, values
+
+
+@settings(max_examples=400, deadline=None)
+@given(_instances())
+def test_realize_matches_edge_index_reference(instance):
+    g, k, p = instance
+    assert realize(g, k, p) == _realize_reference(g, k, p)
+
+
+# ---------------------------------------------------------- max-flow cross-check
+
+
+def _flow_feasible(nx, graph: Graph, k: int, values: list[int]) -> bool:
+    """True iff a max flow hands every edge to an endpoint x, at most k*p(x) each."""
+    net = nx.DiGraph()
+    for a, b in graph.sorted_edges():
+        net.add_edge("s", (a, b), capacity=1)
+        net.add_edge((a, b), a, capacity=1)
+        net.add_edge((a, b), b, capacity=1)
+    for x in range(graph.n):
+        net.add_edge(x, "t", capacity=k * values[x])
+    if not graph.edge_count:
+        return True
+    return nx.maximum_flow_value(net, "s", "t") == graph.edge_count
+
+
+def test_realize_feasible_exactly_when_max_flow_saturates_edges():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    feasible = infeasible = 0
+    for _ in range(120):
+        k = rng.choice([2, 3, 4, 5])
+        n = rng.randint(2, 40)
+        pool = list(combinations(range(n), 2))
+        edges = rng.sample(pool, rng.randint(0, len(pool)))
+        g = Graph.from_edges(n, edges[: len(edges) - len(edges) % k])
+        values = list(minimal(g, k).values)
+        # move up to two units between random vertices to reach infeasible cases
+        for _ in range(rng.randint(0, 2)):
+            donors = [x for x in range(n) if values[x] > 0]
+            if donors:
+                values[rng.choice(donors)] -= 1
+                values[rng.randrange(n)] += 1
+        out = realize(g, k, values)
+        assert isinstance(out, Infeasible) != _flow_feasible(nx, g, k, values)
+        if isinstance(out, Infeasible):
+            infeasible += 1
+            assert delta_t(g, k, values, out.vertices) < 0
+        else:
+            feasible += 1
+            assert verify_decomposition(g, k, out, values)
+    assert feasible >= 25 and infeasible >= 25
