@@ -78,18 +78,34 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
         raise ValueError(
             f"design already has {len(design.stars)} > u = {target} stars"
         )
-    adj: list[set[int]] = [set(leftover.neighbors(v)) for v in range(n)]
+    rows = leftover.rows
+    # uncovered degrees; the added stars' edges {a, b}, a < b, keyed by a * n + b
+    degree = list(map(len, rows))
+    taken: set[int] = set()
+    # rows[v][:start[v]] are all taken, since v takes its smallest free partners
+    start = [0] * n
     stars = list(design.stars)
+    center = 0
     while len(stars) < target:
-        center = next((v for v in range(n) if len(adj[v]) >= k), None)
-        if center is None:
+        # degrees never rise, so the smallest vertex with room never falls
+        while center < n and degree[center] < k:
+            center += 1
+        if center == n:
             raise CompletionDefect(
                 f"padding stuck at {len(stars)} of {target} stars (n={n}, k={k})"
             )
-        leaves = sorted(adj[center])[:k]
+        row, i = rows[center], start[center]
+        leaves: list[int] = []
+        while len(leaves) < k:
+            leaf = row[i]
+            i += 1
+            if (center * n + leaf if center < leaf else leaf * n + center) not in taken:
+                leaves.append(leaf)
+        start[center] = i
         for leaf in leaves:
-            adj[center].discard(leaf)
-            adj[leaf].discard(center)
+            taken.add(center * n + leaf if center < leaf else leaf * n + center)
+            degree[leaf] -= 1
+        degree[center] -= k
         stars.append(Star(center, frozenset(leaves)))
     return PartialDesign(n, k, tuple(stars))
 

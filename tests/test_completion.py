@@ -19,6 +19,7 @@ from stardeck import (
     design_from_doc,
     find_bad,
     gen_uncompletable,
+    is_admissible,
     minimal,
     pad_to_threshold,
     realize,
@@ -31,7 +32,7 @@ from stardeck import (
 from stardeck import completion
 from stardeck.completion import _merged
 
-from conftest import seeded_design
+from conftest import seeded_design, seeded_design_at_most_u
 
 
 def _assert_completed(d: PartialDesign, result) -> None:
@@ -95,6 +96,36 @@ def test_pad_keeps_existing_stars():
 def test_pad_rejects_design_over_threshold():
     with pytest.raises(ValueError):
         pad_to_threshold(gen_uncompletable(6, 3))
+
+
+def _pad_with_neighbor_sets(design: PartialDesign) -> PartialDesign:
+    """The greedy padding on one neighbor set per vertex, as a reference."""
+    leftover = design.leftover()
+    n, k = design.n, design.k
+    adj = [set(leftover.neighbors(v)) for v in range(n)]
+    stars = list(design.stars)
+    while len(stars) < threshold_u(n, k):
+        center = next(v for v in range(n) if len(adj[v]) >= k)
+        leaves = sorted(adj[center])[:k]
+        for leaf in leaves:
+            adj[center].discard(leaf)
+            adj[leaf].discard(center)
+        stars.append(Star(center, frozenset(leaves)))
+    return PartialDesign(n, k, tuple(stars))
+
+
+def test_pad_matches_the_neighbor_set_greedy():
+    orders = [(n, k) for k in range(2, 6) for n in [*range(2 * k, 41), 76, 81, 97]
+              if is_admissible(n, k)]
+    padded = 0
+    for seed in range(400):
+        n, k = orders[seed % len(orders)]
+        d = seeded_design_at_most_u(n, k, seed)
+        got = pad_to_threshold(d)
+        assert got == _pad_with_neighbor_sets(d)
+        assert got.validate() == []
+        padded += len(got.stars) > len(d.stars)
+    assert padded > 300
 
 
 # --------------------------------------------------------------- reduce_design
