@@ -22,7 +22,6 @@ from .designs import (
     loads_design,
     random_design,
     threshold_u,
-    threshold_u_ab,
 )
 from .extremal import BlockedEdgeCertificate, check_blocked_edge, gen_uncompletable
 from .oracle import (
@@ -83,6 +82,5 @@ __all__ = [
     "subset_check",
     "suitable",
     "threshold_u",
-    "threshold_u_ab",
     "verify_decomposition",
 ]

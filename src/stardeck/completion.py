@@ -24,7 +24,7 @@ from .designs import (
     is_admissible,
     threshold_u,
 )
-from .extremal import check_blocked_edge
+from .extremal import blocked_edge
 from .oracle import decompose_exhaustive, default_budget
 from .precentral import Precentral, find_bad, minimal, suitable
 from .realize import Infeasible, realize
@@ -144,7 +144,8 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
     edge when one is left over.
     """
     n = graph.n
-    unused = set(graph.edges)
+    # paired edges {a, b}, a < b, keyed by a * n + b
+    used: set[int] = set()
     seen = [False] * n
     stars: list[Star] = []
     for root in range(n):
@@ -166,28 +167,20 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
         if comp_edge_count % 2 != 0:
             return Infeasible("odd-component", frozenset(order))
         for v in reversed(order):
-            pending: list[int] = []
             par = parent[v]
-            for y in graph.neighbors(v):
-                if y == par:
-                    continue
-                edge = (v, y) if v < y else (y, v)
-                if edge in unused:
-                    pending.append(y)
-            for i in range(0, len(pending) - 1, 2):
-                y1, y2 = pending[i], pending[i + 1]
-                unused.discard((v, y1) if v < y1 else (y1, v))
-                unused.discard((v, y2) if v < y2 else (y2, v))
-                stars.append(Star(v, frozenset((y1, y2))))
+            pending = [
+                y for y in graph.neighbors(v)
+                if y != par and (v * n + y if v < y else y * n + v) not in used
+            ]
             if len(pending) % 2 == 1:
-                y = pending[-1]
                 assert par is not None  # root parity is even by construction
-                par_edge = (v, par) if v < par else (par, v)
-                assert par_edge in unused
-                unused.discard((v, y) if v < y else (y, v))
-                unused.discard(par_edge)
-                stars.append(Star(v, frozenset((y, par))))
-    assert not unused
+                pending.append(par)
+            for i in range(0, len(pending), 2):
+                y1, y2 = pending[i], pending[i + 1]
+                used.add(v * n + y1 if v < y1 else y1 * n + v)
+                used.add(v * n + y2 if v < y2 else y2 * n + v)
+                stars.append(Star(v, frozenset((y1, y2))))
+    assert len(used) == graph.edge_count
     return stars
 
 
@@ -433,7 +426,8 @@ def _attempt_over_threshold(
     """Best-effort handling of designs with more than u(n, k) stars."""
     n, k = design.n, design.k
     trace.append("over-threshold-attempt")
-    cert = check_blocked_edge(design)
+    leftover = design.leftover()
+    cert = blocked_edge(leftover, k)
     if cert is not None:
         trace.append("certificate=blocked-edge")
         return CompletionResult(
@@ -442,7 +436,6 @@ def _attempt_over_threshold(
             certificate=cert.to_doc(),
             trace=tuple(trace),
         )
-    leftover = design.leftover()
     if k == 2:
         pairing = decompose_2stars(leftover)
         if isinstance(pairing, Infeasible):

@@ -11,16 +11,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import filterfalse
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable
 
 CentralFunction = tuple[int, ...]
-
-
-def _norm_edge(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -34,10 +29,6 @@ class Star:
         if type(self.leaves) is not frozenset:
             object.__setattr__(self, "leaves", frozenset(self.leaves))
 
-    def edges(self) -> list[tuple[int, int]]:
-        """The star's edges as normalized (low, high) pairs."""
-        return [_norm_edge(self.center, leaf) for leaf in self.leaves]
-
     def sorted_leaves(self) -> list[int]:
         return sorted(self.leaves)
 
@@ -46,8 +37,7 @@ class Star:
 class Graph:
     """Immutable simple graph on vertices 0..n-1, stored as adjacency rows.
 
-    ``rows[v]`` holds v's neighbors in ascending order.  The edge set is
-    derived from the rows the first time ``edges`` is read.
+    ``rows[v]`` holds v's neighbors in ascending order.
     """
 
     n: int
@@ -56,24 +46,20 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        # a frozenset of normalized in-range pairs is kept as it is
-        if not (type(edges) is frozenset and all(0 <= a < b < n for a, b in edges)):
-            norm = set()
-            for a, b in edges:
-                if a == b:
-                    raise ValueError(f"loop at vertex {a}")
-                if not (0 <= a < n and 0 <= b < n):
-                    raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-                norm.add(_norm_edge(a, b))
-            edges = frozenset(norm)
+        norm = set()
+        for a, b in edges:
+            if a == b:
+                raise ValueError(f"loop at vertex {a}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            norm.add((a, b) if a < b else (b, a))
         rows: list[list[int]] = [[] for _ in range(n)]
         # ascending edges fill every row in ascending order
-        for a, b in sorted(edges):
+        for a, b in sorted(norm):
             rows[a].append(b)
             rows[b].append(a)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
-        self.__dict__["edges"] = edges
 
     @classmethod
     def _of_rows(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
@@ -90,12 +76,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, frozenset(tuple(p) for p in pairs))
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as normalized (low, high) pairs."""
-        return frozenset(self.sorted_edges())
+        return cls(n, pairs)
 
     @property
     def edge_count(self) -> int:
@@ -151,21 +132,6 @@ def threshold_u(n: int, k: int) -> int:
     if n % k == 1:
         return 2 * (n - 1) // k - 2
     return 2 * ((n - 2) // k) - 1
-
-
-def threshold_u_ab(n: int, k: int) -> int:
-    """The threshold computed from the decomposition n = a*k + b, b in 1..k.
-
-    Cross-check form: 2a - 2 when b = 1, else 2a - 1.  Agrees with
-    :func:`threshold_u` on every order.
-    """
-    if n < 2 or k < 2:
-        raise ValueError("threshold_u_ab requires n >= 2 and k >= 2")
-    b = n % k
-    if b == 0:
-        b = k
-    a = (n - b) // k
-    return 2 * a - 2 if b == 1 else 2 * a - 1
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ is uncompletable, witnessing that the threshold u(n, k) is sharp.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .designs import PartialDesign, Star, is_admissible, threshold_u
+from .designs import Graph, PartialDesign, Star, is_admissible, threshold_u
 
 
 @dataclass(frozen=True)
@@ -31,18 +32,24 @@ class BlockedEdgeCertificate:
         }
 
 
-def check_blocked_edge(design: PartialDesign) -> BlockedEdgeCertificate | None:
-    """The first blocked edge of the design's leftover, if any.
+def blocked_edge(leftover: Graph, k: int) -> BlockedEdgeCertificate | None:
+    """The first blocked edge of a leftover graph, if any.
 
-    Edges are scanned in sorted order; a hit certifies uncompletability.
+    Edges are scanned in sorted order, low end first; a hit certifies
+    uncompletability.
     """
-    leftover = design.leftover()
-    k = design.k
     degrees = leftover.degrees()
-    for a, b in leftover.sorted_edges():
-        if degrees[a] <= k - 1 and degrees[b] <= k - 1:
-            return BlockedEdgeCertificate((a, b), (degrees[a], degrees[b]))
+    for a, row in enumerate(leftover.rows):
+        if degrees[a] <= k - 1:
+            for b in row[bisect_right(row, a):]:
+                if degrees[b] <= k - 1:
+                    return BlockedEdgeCertificate((a, b), (degrees[a], degrees[b]))
     return None
+
+
+def check_blocked_edge(design: PartialDesign) -> BlockedEdgeCertificate | None:
+    """The first blocked edge of the design's leftover, if any."""
+    return blocked_edge(design.leftover(), design.k)
 
 
 def gen_uncompletable(n: int, k: int) -> PartialDesign:

@@ -140,6 +140,11 @@ def decompose_exhaustive(
         found = search()
     except _BudgetExceeded:
         return OracleResult("budget_exceeded", None, nodes)
+    finally:
+        # search refers to itself; unbinding it breaks that cycle, so the
+        # closure and the search state it holds are freed without the
+        # cyclic collector
+        del search
     if found:
         return OracleResult("found", tuple(stars), nodes)
     return OracleResult("none", None, nodes)

@@ -177,6 +177,7 @@ def delta_t(graph: Graph, k: int, p: VertexFunction, subset: Iterable[int]) -> i
     if len(t) == graph.n:
         raise ValueError("subset must be a proper subset of the vertices")
     values = vertex_values(p, graph.n)
-    supply = sum(1 for a, b in graph.edges if a in t or b in t)
+    # an edge with both ends in t is counted from its lower end only
+    supply = sum(1 for x in t for y in graph.rows[x] if x < y or y not in t)
     demand = k * sum(values[x] for x in t)
     return supply - demand

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse
 
 from .designs import Graph, Star
-from .precentral import VertexFunction, vertex_values
+from .precentral import VertexFunction, delta_t, vertex_values
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,9 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
             visited.add(b)
             if not place(a, b, visited):
                 unplaced.append((a, b))
+    # place refers to itself; unbinding it breaks that cycle, so the closure
+    # and the search state it holds are freed without the cyclic collector
+    del place
 
     if unplaced:
         reached: set[int] = set()
@@ -132,13 +135,9 @@ def subset_check(
     if graph.n > max_n:
         raise ValueError(f"subset_check is exponential; n={graph.n} > {max_n}")
     values = _checked_values(graph, k, p)
-    edges = graph.sorted_edges()
     for size in range(1, graph.n):
         for subset in combinations(range(graph.n), size):
-            chosen = frozenset(subset)
-            supply = sum(1 for a, b in edges if a in chosen or b in chosen)
-            demand = k * sum(values[x] for x in subset)
-            if supply - demand < 0:
+            if delta_t(graph, k, values, subset) < 0:
                 return subset
     return None
 
@@ -154,7 +153,8 @@ def verify_decomposition(
     When p is given, also requires the center counts to match it.
     Never raises on malformed stars; they simply fail the check.
     """
-    seen: set[tuple[int, int]] = set()
+    # each vertex's edges not yet covered by a star
+    uncovered = [set(row) for row in graph.rows]
     counts = [0] * graph.n
     for star in stars:
         if not (0 <= star.center < graph.n):
@@ -163,12 +163,14 @@ def verify_decomposition(
             return False
         if not all(0 <= leaf < graph.n for leaf in star.leaves):
             return False
-        for edge in star.edges():
-            if edge in seen or edge not in graph.edges:
-                return False
-            seen.add(edge)
+        row = uncovered[star.center]
+        if not star.leaves <= row:
+            return False
+        row -= star.leaves
+        for leaf in star.leaves:
+            uncovered[leaf].remove(star.center)
         counts[star.center] += 1
-    if len(seen) != graph.edge_count:
+    if any(uncovered):
         return False
     if p is not None:
         try:

@@ -30,6 +30,14 @@ def graphs_divisible(draw: st.DrawFn, k: int, min_n: int = 1, max_n: int = 10) -
     return g
 
 
+def threshold_u_ab(n: int, k: int) -> int:
+    """u(n, k) from the decomposition n = a*k + b, b in 1..k: 2a - 2 when
+    b = 1, else 2a - 1.  An independent form to cross-check threshold_u."""
+    b = n % k or k
+    a = (n - b) // k
+    return 2 * a - 2 if b == 1 else 2 * a - 1
+
+
 def seeded_design(n: int, k: int, stars: int, seed: int) -> PartialDesign:
     """A reproducible random partial design with the given star count."""
     return random_design(n, k, stars, random.Random(seed))

@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeck import (
     CompletionDefect,
@@ -17,15 +18,11 @@ from stardeck import (
     decompose_2stars,
     design_exists,
     design_from_doc,
-    find_bad,
     gen_uncompletable,
     is_admissible,
-    minimal,
     pad_to_threshold,
-    realize,
     reduce_design,
     small_order_precentral,
-    suitable,
     threshold_u,
     verify_decomposition,
 )
@@ -192,12 +189,86 @@ def test_2stars_random_even_graphs():
         out = decompose_2stars(g)
         if isinstance(out, Infeasible):
             comp = out.vertices
-            inside = sum(1 for a, b in g.edges if a in comp and b in comp)
+            inside = sum(1 for a, b in g.sorted_edges() if a in comp and b in comp)
             assert inside % 2 == 1
         else:
             assert verify_decomposition(g, 2, out)
             done += 1
     assert done >= 40
+
+
+def _decompose_2stars_reference(graph: Graph) -> list[Star] | Infeasible:
+    """decompose_2stars over a set of unused (low, high) edge tuples.
+
+    The package's decompose_2stars keys paired edges by int over the
+    adjacency rows; the two must give identical outputs.
+    """
+    n = graph.n
+    unused = set(graph.sorted_edges())
+    seen = [False] * n
+    stars: list[Star] = []
+    for root in range(n):
+        if seen[root] or not graph.neighbors(root):
+            continue
+        order = [root]
+        parent: dict[int, int | None] = {root: None}
+        seen[root] = True
+        qi = 0
+        while qi < len(order):
+            w = order[qi]
+            qi += 1
+            for y in graph.neighbors(w):
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = w
+                    order.append(y)
+        if sum(graph.degree(v) for v in order) // 2 % 2 != 0:
+            return Infeasible("odd-component", frozenset(order))
+        for v in reversed(order):
+            par = parent[v]
+            pending = [y for y in graph.neighbors(v)
+                       if y != par and (min(v, y), max(v, y)) in unused]
+            for i in range(0, len(pending) - 1, 2):
+                y1, y2 = pending[i], pending[i + 1]
+                unused.discard((min(v, y1), max(v, y1)))
+                unused.discard((min(v, y2), max(v, y2)))
+                stars.append(Star(v, frozenset((y1, y2))))
+            if len(pending) % 2 == 1:
+                y = pending[-1]
+                par_edge = (min(v, par), max(v, par))
+                assert par_edge in unused
+                unused.discard((min(v, y), max(v, y)))
+                unused.discard(par_edge)
+                stars.append(Star(v, frozenset((y, par))))
+    assert not unused
+    return stars
+
+
+@st.composite
+def _graphs_by_component_parity(draw: st.DrawFn) -> Graph:
+    """A union of edge-disjoint 2-paths, so every component is even, plus
+    0-2 spare edges, each of which leaves the component it lands in odd."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges: set[tuple[int, int]] = set()
+    for v, y1, y2 in draw(st.lists(st.tuples(vertex, vertex, vertex), max_size=40)):
+        pair = {(min(v, y1), max(v, y1)), (min(v, y2), max(v, y2))}
+        if len({v, y1, y2}) == 3 and not pair & edges:
+            edges |= pair
+    spare = [e for e in combinations(range(n), 2) if e not in edges]
+    if spare:
+        extra = draw(st.lists(st.sampled_from(spare), unique=True, max_size=2))
+        edges.update(extra)
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs_by_component_parity())
+def test_2stars_match_edge_set_reference(g):
+    out = decompose_2stars(g)
+    assert out == _decompose_2stars_reference(g)
+    if not isinstance(out, Infeasible):
+        assert verify_decomposition(g, 2, out)
 
 
 # ------------------------------------------------------- small_order_precentral
@@ -298,21 +369,6 @@ def test_complete_large_order_route():
     _assert_completed(d, r)
 
 
-@pytest.mark.parametrize("design", [
-    pad_to_threshold(seeded_design(30, 3, 4, seed=5)),
-    seeded_design(12, 3, 6, seed=4),  # three leftover degrees below 2k: the pair scan runs
-])
-def test_threshold_path_never_builds_the_edge_set(design):
-    leftover = design.leftover()
-    completion._check_degree_facts(leftover, 3)
-    minimal(leftover, 3)
-    p = suitable(leftover, 3)
-    assert find_bad(p, leftover, 3) is None
-    stars = realize(leftover, 3, p)
-    assert "edges" not in leftover.__dict__
-    assert verify_decomposition(leftover, 3, stars, p)
-
-
 def test_complete_full_design_is_identity():
     full = complete(PartialDesign(6, 3)).design
     r = complete(full)
@@ -404,6 +460,26 @@ def test_over_threshold_blocked_edge():
     assert r.outcome == "impossible"
     assert r.reason == "blocked-edge"
     assert r.certificate == {"blocked_edge": [0, 1], "degrees": [2, 2]}
+
+
+@pytest.mark.parametrize("design", [
+    gen_uncompletable(9, 3),  # blocked edge
+    seeded_design(5, 2, 3, seed=0),  # 2-star pairing
+    PartialDesign(9, 3, tuple(Star(v, frozenset({v + 1, v + 2, v + 3})) for v in range(4))),
+    _k4_leftover_design(),  # realize fails, the oracle refutes
+])
+def test_over_threshold_builds_one_leftover(design, monkeypatch):
+    calls = []
+    original = PartialDesign.leftover
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PartialDesign, "leftover", counted)
+    assert len(design.stars) > threshold_u(design.n, design.k)
+    complete(design, oracle_budget=1000)
+    assert calls == [design]
 
 
 def test_over_threshold_odd_component():

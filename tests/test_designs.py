@@ -23,18 +23,16 @@ from stardeck import (
     loads_design,
     random_design,
     threshold_u,
-    threshold_u_ab,
 )
 
-from conftest import seeded_design
+from conftest import seeded_design, threshold_u_ab
 
 
 # ---------------------------------------------------------------- stars/graphs
 
 
-def test_star_edges_are_normalized():
+def test_star_sorted_leaves():
     s = Star(2, frozenset({5, 0, 3}))
-    assert s.edges() == [(0, 2), (2, 3), (2, 5)]
     assert s.sorted_leaves() == [0, 3, 5]
 
 
@@ -56,12 +54,16 @@ def test_graph_rejects_loops_and_out_of_range():
         Graph.from_edges(4, [(-1, 2)])
 
 
-@pytest.mark.parametrize("wrap", [frozenset, set, list])
+@pytest.mark.parametrize("wrap", [
+    frozenset, set, list, lambda pairs: (p for p in pairs),
+    lambda pairs: [list(p) for p in pairs],
+])
 def test_graph_normalizes_any_edge_collection(wrap):
-    g = Graph(4, wrap([(2, 1), (0, 3), (3, 0)]))
-    assert type(g.edges) is frozenset
-    assert g.edges == {(1, 2), (0, 3)}
-    assert g.neighbors(3) == (0,)
+    pairs = [(2, 1), (0, 3), (3, 0)]
+    for g in (Graph(4, wrap(pairs)), Graph.from_edges(4, wrap(pairs))):
+        assert g.sorted_edges() == [(0, 3), (1, 2)]
+        assert g.rows == ((3,), (2,), (1,), (0,))
+        assert g.neighbors(3) == (0,)
 
 
 @pytest.mark.parametrize("wrap", [frozenset, set, list])
@@ -74,11 +76,6 @@ def test_graph_normalizes_any_edge_collection(wrap):
 def test_graph_rejects_bad_pair_in_any_collection(wrap, pair, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Graph(4, wrap([(0, 1), pair]))
-
-
-def test_graph_keeps_a_normalized_frozenset():
-    edges = frozenset({(0, 1), (1, 3), (2, 3)})
-    assert Graph(4, edges).edges is edges
 
 
 def test_sorted_edges_returns_a_fresh_list():
@@ -97,14 +94,7 @@ def test_complete_graph_equals_graph_of_all_pairs(n):
     g = Graph.complete(n)
     ref = Graph(n, combinations(range(n), 2))
     assert g == ref and hash(g) == hash(ref)
-    assert g.edges == ref.edges
-
-
-def test_edges_is_a_frozenset_of_the_sorted_edges():
-    design = PartialDesign(7, 3, (Star(0, frozenset({1, 2, 3})),))
-    for g in (Graph.complete(7), design.leftover(), Graph.from_edges(5, [(3, 1), (0, 4)])):
-        assert type(g.edges) is frozenset
-        assert g.edges == set(g.sorted_edges())
+    assert g.sorted_edges() == ref.sorted_edges()
 
 
 @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (4, 0), (0, 4), (-5, 9), (2, 2)])
@@ -310,7 +300,7 @@ def test_leftover_is_complete_graph_minus_covered_pairs(seed):
         rows[b].append(a)
     left = d.leftover()
     assert left.rows == tuple(tuple(sorted(row)) for row in rows)
-    assert left.edges == frozenset(pairs)
+    assert left.sorted_edges() == pairs
 
 
 # ------------------------------------------------------------ central function

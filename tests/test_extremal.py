@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stardeck import (
     PartialDesign,
@@ -14,6 +15,9 @@ from stardeck import (
     is_admissible,
     threshold_u,
 )
+from stardeck.extremal import blocked_edge
+
+from conftest import graphs
 
 
 def test_gen_order_six_exact_shape():
@@ -66,6 +70,20 @@ def test_no_certificate_on_completable_design():
 def test_no_certificate_on_full_design():
     full = complete(PartialDesign(6, 3)).design
     assert check_blocked_edge(full) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5), graphs(max_n=14))
+def test_blocked_edge_is_the_first_in_a_sorted_edge_scan(k, g):
+    degrees = g.degrees()
+    first = next(((a, b) for a, b in g.sorted_edges()
+                  if degrees[a] < k and degrees[b] < k), None)
+    cert = blocked_edge(g, k)
+    if first is None:
+        assert cert is None
+    else:
+        assert cert.edge == first
+        assert cert.degrees == (degrees[first[0]], degrees[first[1]])
 
 
 def test_generated_designs_certified_on_grid():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -32,6 +33,20 @@ def test_complete_graph_is_decomposable():
 def test_triangle_has_no_2star_decomposition():
     g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
     assert decompose_exhaustive(g, 2).status == "none"
+
+
+def test_search_leaves_nothing_for_the_cyclic_collector():
+    blocked = gen_uncompletable(6, 3).leftover()
+    gc.collect()
+    gc.disable()
+    try:
+        statuses = [decompose_exhaustive(Graph.complete(6), 3).status,
+                    decompose_exhaustive(blocked, 3).status,
+                    decompose_exhaustive(Graph.complete(6), 3, budget=1).status]
+        assert statuses == ["found", "none", "budget_exceeded"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_blocked_leftover_has_no_decomposition():

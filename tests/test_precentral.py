@@ -184,7 +184,7 @@ def _find_bad_reference(values, graph: Graph, k: int):
     for y in range(graph.n):
         if degrees[y] < k and values[y] == 1:
             return BadVertex(y)
-    for a, b in sorted(graph.edges):
+    for a, b in graph.sorted_edges():
         if values[a] == 0 and values[b] == 0:
             return BadEdge(a, b)
     return None
@@ -294,6 +294,15 @@ def test_delta_t_star_leaf_deficit():
 def test_delta_t_complete_graph_pair():
     g = Graph.complete(6)
     assert delta_t(g, 3, (1, 1, 1, 1, 1, 0), {0, 1}) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=5), graphs(min_n=2, max_n=14), st.data())
+def test_delta_t_matches_sorted_edge_scan(k, g, data):
+    values = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    t = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=g.n - 1))
+    supply = sum(1 for a, b in g.sorted_edges() if a in t or b in t)
+    assert delta_t(g, k, values, t) == supply - k * sum(values[x] for x in t)
 
 
 def test_delta_t_rejects_degenerate_subsets():

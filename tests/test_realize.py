@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -54,6 +55,18 @@ def test_realize_single_star_leaf_is_infeasible():
     out = realize(g, 3, [0, 1, 0, 0])
     assert isinstance(out, Infeasible)
     assert delta_t(g, 3, [0, 1, 0, 0], out.vertices) < 0
+
+
+def test_realize_leaves_nothing_for_the_cyclic_collector():
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert not isinstance(realize(g, 3, [1, 0, 0, 0]), Infeasible)
+        assert isinstance(realize(g, 3, [0, 1, 0, 0]), Infeasible)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_realize_complete_graph_minimal():
@@ -173,7 +186,7 @@ def _realize_reference(graph: Graph, k: int, p) -> list[Star] | Infeasible:
     """
     values = vertex_values(p, graph.n)
     n = graph.n
-    edges = sorted(graph.edges)
+    edges = graph.sorted_edges()
     cap = [k * v for v in values]
     used = [0] * n
     holder: list[list[int]] = [[] for _ in range(n)]
