@@ -40,7 +40,13 @@ from .precentral import (
     minimal,
     suitable,
 )
-from .realize import Infeasible, realize, subset_check, verify_decomposition
+from .realize import (
+    Infeasible,
+    construct,
+    realize,
+    subset_check,
+    verify_decomposition,
+)
 
 __version__ = "0.1.0"
 
@@ -60,6 +66,7 @@ __all__ = [
     "canonical_dumps",
     "check_blocked_edge",
     "complete",
+    "construct",
     "decompose_2stars",
     "decompose_exhaustive",
     "default_budget",

@@ -27,7 +27,7 @@ from .designs import (
 from .extremal import blocked_edge
 from .oracle import decompose_exhaustive, default_budget
 from .precentral import Precentral, find_bad, minimal, suitable
-from .realize import Infeasible, realize
+from .realize import Infeasible, construct, realize
 
 
 class CompletionDefect(RuntimeError):
@@ -450,11 +450,13 @@ def _attempt_over_threshold(
             )
         trace.append("construction=2star")
         return _merged(n, k, [*design.stars, *pairing], trace)
-    p = suitable(leftover, k)
-    result = realize(leftover, k, p)
-    if not isinstance(result, Infeasible):
+    built = construct(leftover, k)
+    if built is not None:
+        stars, repairs = built
+        if repairs:
+            trace.append(f"repair+{repairs}")
         trace.append("construction=suitable")
-        return _merged(n, k, [*design.stars, *result], trace)
+        return _merged(n, k, [*design.stars, *stars], trace)
     trace.append("realize-infeasible")
     if n > oracle_max_n:
         trace.append("oracle=out-of-reach")

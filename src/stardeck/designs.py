@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import filterfalse
 from random import Random
 from typing import Iterable
 
@@ -90,7 +89,8 @@ class Graph:
         return len(self.rows[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.rows))
+        # through a list, so the tuple is allocated at its exact size
+        return tuple([*map(len, self.rows)])
 
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.n and b in self.rows[a]
@@ -198,9 +198,17 @@ class PartialDesign:
             covered[center].update(star.leaves)
             for leaf in star.leaves:
                 covered[leaf].add(center)
-        return Graph._of_rows(self.n, tuple(
-            tuple(filterfalse(row.__contains__, vertices)) for row in covered
-        ))
+        # a row is the vertex list with the covered ones deleted, last first,
+        # frozen from a list so the tuple gets its exact size: tuple() of an
+        # iterator without a length hint allocates 10 slots and resizes, which
+        # strands small tuples on the interpreter's free lists
+        rows = []
+        for cover in covered:
+            row = vertices[:]
+            for x in sorted(cover, reverse=True):
+                del row[x]
+            rows.append(tuple(row))
+        return Graph._of_rows(self.n, tuple(rows))
 
     def central_function(self) -> CentralFunction:
         """How many stars each vertex centers.  Pure counting; no validity check."""

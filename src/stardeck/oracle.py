@@ -4,7 +4,8 @@ Small instances only.  The search branches on the lexicographically smallest
 uncovered edge, trying each endpoint as a center with every k-subset of its
 uncovered incident edges that contains the branching edge.  A node budget
 bounds the work; exceeding it yields an explicit "budget_exceeded" status
-instead of an answer.
+instead of an answer.  ``has_completion`` tries the polynomial construction
+first and searches only when it fails.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import combinations
 
 from .designs import Graph, PartialDesign, Star
 from .precentral import VertexFunction, vertex_values
+from .realize import construct
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "STARDECK_ORACLE_BUDGET"
@@ -153,11 +155,15 @@ def decompose_exhaustive(
 def has_completion(design: PartialDesign, budget: int | None = None) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
-    Ground-truth check by exhaustive search on the leftover graph; "unknown"
-    only when the node budget runs out.
+    "yes" comes from a decomposition of the leftover graph, built by
+    :func:`construct` when it succeeds and found by exhaustive search
+    otherwise.  "no" comes only from the edge count or the search, and
+    "unknown" only when the search runs out of its node budget.
     """
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"
+    if construct(leftover, design.k) is not None:
+        return "yes"
     result = decompose_exhaustive(leftover, design.k, budget=budget)
     return {"found": "yes", "none": "no", "budget_exceeded": "unknown"}[result.status]

@@ -28,7 +28,7 @@ class Precentral:
 
     @classmethod
     def of_graph(cls, graph: Graph, k: int, values: Sequence[int]) -> "Precentral":
-        vals = tuple(int(v) for v in values)
+        vals = tuple([*map(int, values)])
         if k < 2:
             raise ValueError("k must be >= 2")
         if len(vals) != graph.n:
@@ -61,7 +61,7 @@ VertexFunction = Union[Precentral, Sequence[int]]
 
 def vertex_values(p: VertexFunction, n: int) -> tuple[int, ...]:
     """Normalize a Precentral or plain sequence to a length-n value tuple."""
-    vals = p.values if isinstance(p, Precentral) else tuple(int(v) for v in p)
+    vals = p.values if isinstance(p, Precentral) else tuple([*map(int, p)])
     if len(vals) != n:
         raise ValueError(f"expected {n} values, got {len(vals)}")
     return vals

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse
 
 from .designs import Graph, Star
-from .precentral import VertexFunction, delta_t, vertex_values
+from .precentral import VertexFunction, delta_t, suitable, vertex_values
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,41 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     return stars
 
 
+def construct(graph: Graph, k: int) -> tuple[list[Star], int] | None:
+    """A k-star decomposition built from suitable(graph, k), or None.
+
+    Realizes the suitable function; on an infeasible cut T it moves one
+    star from the donor in T with the largest k*p(x) - deg(x) among p(x) > 0
+    to the vertex outside T with the smallest such value that still has
+    room, k*(p(y) + 1) <= deg(y), ties to the smaller index, and retries.
+    Returns the stars with the number of moves made.  Gives up when no donor
+    or taker exists or a function repeats, so None proves nothing; a
+    returned decomposition proves itself.  The edge count must be a
+    multiple of k.
+    """
+    degrees = graph.degrees()
+    values = list(suitable(graph, k).values)
+    tried = {tuple(values)}
+    while True:
+        result = realize(graph, k, values)
+        if not isinstance(result, Infeasible):
+            return result, len(tried) - 1  # each move added one function
+        cut = result.vertices
+        donors = [x for x in cut if values[x] > 0]
+        takers = [y for y in range(graph.n)
+                  if y not in cut and k * (values[y] + 1) <= degrees[y]]
+        if not donors or not takers:
+            return None
+        donor = max(donors, key=lambda x: (k * values[x] - degrees[x], -x))
+        taker = min(takers, key=lambda y: (k * values[y] - degrees[y], y))
+        values[donor] -= 1
+        values[taker] += 1
+        key = tuple(values)
+        if key in tried:
+            return None
+        tried.add(key)
+
+
 def subset_check(
     graph: Graph, k: int, p: VertexFunction, max_n: int = 20
 ) -> tuple[int, ...] | None:
@@ -183,6 +218,7 @@ def verify_decomposition(
 
 __all__ = [
     "Infeasible",
+    "construct",
     "realize",
     "subset_check",
     "verify_decomposition",

@@ -19,11 +19,11 @@ from stardeck import (
     check_blocked_edge,
     complete,
     decompose_2stars,
+    decompose_exhaustive,
     delta_t,
     design_exists,
     find_bad,
     gen_uncompletable,
-    has_completion,
     is_admissible,
     minimal,
     random_design,
@@ -104,7 +104,8 @@ def test_criterion_3_tightness():
             generated += 1
     refuted = 0
     for k, n in ((3, 6), (3, 7), (3, 9), (4, 8)):
-        assert has_completion(gen_uncompletable(n, k)) == "no"
+        d = gen_uncompletable(n, k)
+        assert decompose_exhaustive(d.leftover(), d.k).status == "none"
         refuted += 1
     _report(
         3,
@@ -265,12 +266,12 @@ def test_criterion_7_oracle_agreement():
             if n not in reach or not design_exists(n, k):
                 continue
             for d in _criterion2_designs(k, n):
-                assert has_completion(d) == "yes"
+                assert decompose_exhaustive(d.leftover(), d.k).status == "found"
                 assert complete(d).outcome == "completed"
                 agreed += 1
     for k, n in ((3, 6), (3, 7), (3, 9), (4, 8)):
         d = gen_uncompletable(n, k)
-        assert has_completion(d) == "no"
+        assert decompose_exhaustive(d.leftover(), d.k).status == "none"
         assert complete(d).outcome == "impossible"
         agreed += 1
     assert agreed >= 600

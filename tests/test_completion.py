@@ -454,6 +454,17 @@ def test_over_threshold_completable():
     assert "over-threshold-attempt" in r.trace
 
 
+def test_over_threshold_repaired_construction():
+    # realize fails on the suitable function and succeeds after one move;
+    # n = 16 is past the oracle's reach, so this used to end unknown
+    d = seeded_design(16, 5, 6, seed=11)
+    assert len(d.stars) > threshold_u(16, 5)
+    r = complete(d, oracle_budget=1)
+    _assert_completed(d, r)
+    assert r.trace == ("validated", "over-threshold-attempt", "repair+1",
+                       "construction=suitable", "merged")
+
+
 def test_over_threshold_blocked_edge():
     d = gen_uncompletable(6, 3)
     r = complete(d)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -263,6 +265,24 @@ def test_leftover_edge_count_identity():
         6, 3, (Star(0, frozenset({1, 2, 3})), Star(1, frozenset({2, 3, 4})))
     )
     assert d.leftover().edge_count == 9
+
+
+def test_repeated_leftover_holds_no_memory():
+    # rows and degree tuples built at their exact size come back to the same
+    # free lists; tuples resized from a 10-slot guess pile up on the lists of
+    # other sizes until a full collection, which a disabled collector never runs
+    d = seeded_design(16, 5, 6, seed=11)
+    d.leftover().degrees()
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(5000):
+            d.leftover().degrees()
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 1000
 
 
 def test_leftover_rejects_invalid_design():

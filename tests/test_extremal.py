@@ -10,8 +10,8 @@ from stardeck import (
     Star,
     check_blocked_edge,
     complete,
+    decompose_exhaustive,
     gen_uncompletable,
-    has_completion,
     is_admissible,
     threshold_u,
 )
@@ -113,6 +113,6 @@ def test_generated_designs_certified_on_grid():
 )
 def test_oracle_confirms_uncompletability(n, k):
     d = gen_uncompletable(n, k)
-    assert has_completion(d) == "no"
+    assert decompose_exhaustive(d.leftover(), d.k).status == "none"
     r = complete(d)
     assert r.outcome == "impossible"

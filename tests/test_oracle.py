@@ -14,13 +14,17 @@ from stardeck import (
     Infeasible,
     PartialDesign,
     Star,
+    construct,
     decompose_exhaustive,
     default_budget,
     gen_uncompletable,
     has_completion,
     realize,
+    threshold_u,
     verify_decomposition,
 )
+
+from conftest import seeded_design
 
 
 def test_complete_graph_is_decomposable():
@@ -105,6 +109,13 @@ def test_pinned_agreement_with_realize():
 
 # -------------------------------------------------------------- has_completion
 
+# construct() fails on this leftover, yet the search finds a decomposition
+SEARCH_ONLY = PartialDesign(7, 3, (
+    Star(5, frozenset({0, 2, 4})),
+    Star(0, frozenset({1, 2, 3})),
+    Star(1, frozenset({3, 4, 6})),
+))
+
 
 def test_has_completion_yes():
     d = PartialDesign(6, 3, (Star(0, frozenset({1, 2, 3})),))
@@ -119,8 +130,21 @@ def test_has_completion_no_when_not_admissible():
     assert has_completion(PartialDesign(8, 3)) == "no"
 
 
+def test_has_completion_builds_before_searching(monkeypatch):
+    d = seeded_design(16, 5, 6, seed=11)
+    assert len(d.stars) > threshold_u(16, 5)
+    _, repairs = construct(d.leftover(), 5)
+    assert repairs == 1
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched although the construction succeeds")
+
+    monkeypatch.setattr("stardeck.oracle.decompose_exhaustive", no_search)
+    assert has_completion(d, budget=1) == "yes"
+
+
 def test_has_completion_unknown_on_tiny_budget():
-    assert has_completion(PartialDesign(9, 3), budget=0) == "unknown"
+    assert has_completion(SEARCH_ONLY, budget=0) == "unknown"
 
 
 def test_has_completion_rejects_invalid_design():

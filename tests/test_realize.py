@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import random
 from itertools import combinations
 
@@ -13,16 +14,21 @@ from stardeck import (
     Graph,
     Infeasible,
     Star,
+    construct,
     decompose_exhaustive,
     delta_t,
+    is_admissible,
     minimal,
+    random_design,
     realize,
     subset_check,
+    suitable,
+    threshold_u,
     verify_decomposition,
 )
 from stardeck.precentral import vertex_values
 
-from conftest import graphs_divisible
+from conftest import graphs_divisible, seeded_design
 
 
 def _random_instance(rng: random.Random) -> tuple[Graph, int, list[int]]:
@@ -316,3 +322,61 @@ def test_realize_feasible_exactly_when_max_flow_saturates_edges():
             feasible += 1
             assert verify_decomposition(g, k, out, values)
     assert feasible >= 25 and infeasible >= 25
+
+
+# ------------------------------------------------------------------- construct
+
+
+def test_construct_moves_one_star_across_the_witness_cut():
+    # realize fails on the suitable function with the cut {0, 2}; in it vertex
+    # 2 has the larger k*p - deg (2 against 0), and outside it 3, 5 and 6 tie
+    # for the smallest (-8), so one star moves from 2 to 3
+    d = seeded_design(16, 5, 8, seed=32)
+    left = d.leftover()
+    p = list(suitable(left, 5).values)
+    assert realize(left, 5, p).vertices == {0, 2}
+    p[2] -= 1
+    p[3] += 1
+    stars, repairs = construct(left, 5)
+    assert repairs == 1
+    assert verify_decomposition(left, 5, stars, p)
+
+
+def test_construct_is_sound_and_stops_on_over_threshold_designs(monkeypatch):
+    module = importlib.import_module("stardeck.realize")
+    calls = []
+    original = module.realize
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, "realize", counted)
+    rng = random.Random(59)
+    built = repaired = refuted = most = 0
+    for _ in range(1500):
+        k = rng.randint(2, 5)
+        n = rng.randint(k + 1, 12)
+        if not is_admissible(n, k):
+            continue
+        try:
+            d = random_design(n, k, max(threshold_u(n, k), -1) + rng.randint(1, 3), rng)
+        except ValueError:
+            continue
+        left = d.leftover()
+        calls.clear()
+        out = construct(left, k)
+        most = max(most, len(calls))
+        search = decompose_exhaustive(left, k, budget=100_000)
+        if out is None:
+            refuted += search.status == "none"
+            continue
+        stars, repairs = out
+        assert len(calls) == repairs + 1
+        assert verify_decomposition(left, k, stars)
+        assert search.status != "none"
+        built += 1
+        repaired += repairs > 0
+    # the largest number of realize calls one construction made in this sample
+    assert most <= 5
+    assert built >= 400 and repaired >= 5 and refuted >= 100
