@@ -20,6 +20,7 @@ from .designs import (
     Graph,
     PartialDesign,
     Star,
+    _star,
     design_to_doc,
     is_admissible,
     threshold_u,
@@ -106,13 +107,18 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
             taken.add(center * n + leaf if center < leaf else leaf * n + center)
             degree[leaf] -= 1
         degree[center] -= k
-        stars.append(Star(center, frozenset(leaves)))
+        stars.append(_star(center, tuple(leaves)))
     return PartialDesign(n, k, tuple(stars))
 
 
-def _relabel(stars: Iterable[Star], f: Callable[[int], int]) -> list[Star]:
-    """The stars with every vertex v renamed to f(v)."""
-    return [Star(f(s.center), frozenset(map(f, s.leaves))) for s in stars]
+def _relabel(stars: list[Star], f: Callable[[int], int]) -> None:
+    """Rename every vertex v of the listed stars to f(v), in place.
+
+    f must be increasing, which keeps each star's leaves ascending.  Each
+    old star is released as its replacement goes in.
+    """
+    for i, (center, leaves) in enumerate(stars):
+        stars[i] = _star(f(center), tuple([*map(f, leaves)]))
 
 
 def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
@@ -129,8 +135,8 @@ def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star
     assert x is not None
     removed = tuple(s for s in design.stars if s.center == x)
     kept = [s for s in design.stars if s.center != x]
-    smaller_stars = _relabel(kept, lambda v: v if v < x else v - 1)
-    smaller = PartialDesign(design.n - 1, design.k, smaller_stars)
+    _relabel(kept, lambda v: v if v < x else v - 1)
+    smaller = PartialDesign(design.n - 1, design.k, kept)
     return smaller, x, removed
 
 
@@ -179,7 +185,7 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
                 y1, y2 = pending[i], pending[i + 1]
                 used.add(v * n + y1 if v < y1 else y1 * n + v)
                 used.add(v * n + y2 if v < y2 else y2 * n + v)
-                stars.append(Star(v, frozenset((y1, y2))))
+                stars.append(Star(v, (y1, y2)))
     assert len(used) == graph.edge_count
     return stars
 
@@ -254,14 +260,36 @@ def _relabel_canonical(design: PartialDesign) -> list[Star]:
     star = design.stars[0]
     canon = _canonical_design(k)
     anchor = canon[0]
-    mapping: dict[int, int] = {anchor.center: star.center}
-    for a, b in zip(anchor.sorted_leaves(), star.sorted_leaves()):
-        mapping[a] = b
-    rest_from = sorted(set(range(n)) - {anchor.center} - anchor.leaves)
-    rest_to = sorted(set(range(n)) - {star.center} - star.leaves)
-    for a, b in zip(rest_from, rest_to):
-        mapping[a] = b
-    return _relabel(canon[1:], mapping.__getitem__)
+
+    def order(s: Star) -> list[int]:
+        # the center, the leaves ascending, then every other vertex ascending
+        center, leaves = s
+        return [center, *leaves, *(v for v in range(n) if v != center and v not in leaves)]
+
+    to = dict(zip(order(anchor), order(star))).__getitem__
+    # the map is not increasing, so the leaves are sorted again
+    return [Star(to(center), map(to, leaves)) for center, leaves in canon[1:]]
+
+
+def _valid_quick(n: int, k: int, stars: tuple[Star, ...]) -> bool:
+    """True iff ``PartialDesign(n, k, stars).validate()`` finds nothing.
+
+    Marks each covered edge {a, b}, a < b, at a * n + b of an n-by-n byte
+    table whose diagonal is marked beforehand.  A center that is also a leaf
+    hits the diagonal and a repeated edge hits its own mark, so either way
+    fewer marks are set than n plus the leaf count.  Range checks read only
+    the first and last leaf, since leaves are ascending.
+    """
+    if n < 1 or k < 2:
+        return False
+    seen = bytearray(n * n)
+    seen[::n + 1] = b"\x01" * n
+    for center, leaves in stars:
+        if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
+            return False
+        for leaf in leaves:
+            seen[center * n + leaf if center < leaf else leaf * n + center] = 1
+    return seen.count(1) == n + k * len(stars)
 
 
 def _merged(n: int, k: int, stars: Iterable[Star],
@@ -269,12 +297,15 @@ def _merged(n: int, k: int, stars: Iterable[Star],
     """Accept ``stars`` as a full design of order n; every construction ends here.
 
     A valid design covers k distinct edges per star, so it covers all of K_n
-    exactly when k times its star count is C(n, 2).
+    exactly when k times its star count is C(n, 2).  The design is checked in
+    a byte table; ``validate()`` runs only to word the defect when that check
+    fails.
     """
     full = PartialDesign(n, k, tuple(stars))
-    violations = full.validate()
-    if violations:
-        raise CompletionDefect("merged design invalid: " + "; ".join(violations))
+    if not _valid_quick(n, k, full.stars):
+        violations = full.validate()
+        if violations:
+            raise CompletionDefect("merged design invalid: " + "; ".join(violations))
     if k * len(full.stars) != n * (n - 1) // 2:
         raise CompletionDefect("merged design does not cover every edge")
     trace.append("merged")
@@ -367,15 +398,16 @@ def complete(
                 f"reduced order-{smaller.n} design failed to complete"
             )
         trace.append("recurse{" + ";".join(sub.trace) + "}")
-        stars = _relabel(sub.design.stars, [*range(x), *range(x + 1, n)].__getitem__)
-        del sub  # free the sub-design's stars before the merged design is validated
+        stars = list(sub.design.stars)
+        del sub  # the list holds the sub-design's stars, so relabeling frees each
+        _relabel(stars, [*range(x), *range(x + 1, n)].__getitem__)
         stars.extend(removed)
-        # the removed vertex's uncovered edges, in k-sized blocks
-        taken = set().union(*(s.leaves for s in removed))
-        free = sorted(set(range(n)) - {x} - taken)
+        # the removed vertex's uncovered edges, in k-sized ascending blocks
+        covered = {x}.union(*(leaves for _, leaves in removed))
+        free = tuple([v for v in range(n) if v not in covered])
         assert len(free) % k == 0
         for i in range(0, len(free), k):
-            stars.append(Star(x, frozenset(free[i:i + k])))
+            stars.append(_star(x, free[i:i + k]))
         return _merged(n, k, stars, trace)
 
     if k == 2:

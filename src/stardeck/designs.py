@@ -11,25 +11,44 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from random import Random
 from typing import Iterable
 
 CentralFunction = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Star:
-    """A k-star: ``center`` joined to each vertex in ``leaves``."""
+class Star(tuple):
+    """A k-star: ``center`` joined to each vertex in ``leaves``.
 
-    center: int
-    leaves: frozenset[int]
+    An immutable pair of the center and the leaves, a tuple of distinct ints
+    in ascending order.  ``Star(center, leaves)`` takes any iterable of
+    leaves and drops repeats, so stars built from equal leaf sets are equal
+    and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if type(self.leaves) is not frozenset:
-            object.__setattr__(self, "leaves", frozenset(self.leaves))
+    __slots__ = ()
+
+    def __new__(cls, center: int, leaves: Iterable[int]) -> "Star":
+        return tuple.__new__(cls, (center, tuple(sorted(set(leaves)))))
+
+    center = property(itemgetter(0), doc="The center vertex.")
+    leaves = property(itemgetter(1), doc="The leaves, ascending and distinct.")
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Star(center={self[0]!r}, leaves={self[1]!r})"
 
     def sorted_leaves(self) -> list[int]:
-        return sorted(self.leaves)
+        return list(self[1])
+
+
+def _star(center: int, leaves: tuple[int, ...]) -> Star:
+    """A star on leaves the caller already holds as an ascending tuple of
+    distinct ints; unlike ``Star(...)`` it neither sorts nor checks."""
+    return tuple.__new__(Star, (center, leaves))
 
 
 @dataclass(frozen=True, init=False)
@@ -155,13 +174,12 @@ class PartialDesign:
             out.append(f"k must be >= 2, got {k}")
         # a covered edge {a, b}, a < b, is keyed by the int a * n + b
         covered: dict[int, int] = {}
-        for i, star in enumerate(self.stars):
-            center, leaves = star.center, star.leaves
+        for i, (center, leaves) in enumerate(self.stars):
             ok = 0 <= center < n
             if not ok:
                 out.append(f"star {i}: center {center} out of range")
-            if leaves and not (0 <= min(leaves) and max(leaves) < n):
-                for leaf in sorted(leaves):
+            if leaves and not (0 <= leaves[0] and leaves[-1] < n):
+                for leaf in leaves:
                     if not (0 <= leaf < n):
                         out.append(f"star {i}: leaf {leaf} out of range")
                 ok = False
@@ -193,10 +211,9 @@ class PartialDesign:
         vertices = list(range(self.n))  # rows share these int objects
         # each vertex's covered partners, plus the vertex itself
         covered = [{v} for v in vertices]
-        for star in self.stars:
-            center = star.center
-            covered[center].update(star.leaves)
-            for leaf in star.leaves:
+        for center, leaves in self.stars:
+            covered[center].update(leaves)
+            for leaf in leaves:
                 covered[leaf].add(center)
         # a row is the vertex list with the covered ones deleted, last first,
         # frozen from a list so the tuple gets its exact size: tuple() of an
@@ -270,7 +287,7 @@ def random_design(n: int, k: int, m: int, rng: Random) -> PartialDesign:
         for leaf in leaves:
             adj[center].discard(leaf)
             adj[leaf].discard(center)
-        stars.append(Star(center, frozenset(leaves)))
+        stars.append(Star(center, leaves))
     return PartialDesign(n, k, tuple(stars))
 
 
@@ -318,7 +335,7 @@ def design_from_doc(doc: object) -> PartialDesign:
             isinstance(x, int) and not isinstance(x, bool) for x in leaves
         ):
             raise ValueError(f"star {i}: 'leaves' must be a list of integers")
-        parsed.append(Star(center, frozenset(leaves)))
+        parsed.append(Star(center, leaves))
     return PartialDesign(n, k, tuple(parsed))
 
 

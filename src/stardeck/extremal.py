@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .designs import Graph, PartialDesign, Star, is_admissible, threshold_u
+from .designs import Graph, PartialDesign, Star, _star, is_admissible, threshold_u
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,15 @@ def gen_uncompletable(n: int, k: int) -> PartialDesign:
         raise ValueError(f"n={n} is not admissible for k={k}")
     stars: list[Star] = []
     if n % k == 1:
-        stars.append(Star(2, frozenset([0, 1] + list(range(3, k + 1)))))
+        stars.append(_star(2, (0, 1, *range(3, k + 1))))
         per_center = (n - k - 1) // k
-        pool = list(range(3, n))
+        pool = tuple(range(3, n))
     else:
         per_center = (n - 2) // k
-        pool = list(range(2, n))
+        pool = tuple(range(2, n))
     for center in (0, 1):
         for i in range(per_center):
-            stars.append(Star(center, frozenset(pool[i * k:(i + 1) * k])))
+            stars.append(_star(center, pool[i * k:(i + 1) * k]))
     design = PartialDesign(n, k, tuple(stars))
     assert not design.validate()
     assert len(design.stars) == threshold_u(n, k) + 1

@@ -128,7 +128,7 @@ def decompose_exhaustive(
                 if ok:
                     ok = not any(blocked(x) for x in touched)
                 if ok:
-                    stars.append(Star(center, frozenset(leaves)))
+                    stars.append(Star(center, leaves))
                     if search():
                         return True
                     stars.pop()

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations, filterfalse
 
-from .designs import Graph, Star
+from .designs import Graph, Star, _star
 from .precentral import VertexFunction, delta_t, suitable, vertex_values
 
 
@@ -117,9 +117,10 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     stars: list[Star] = []
     for v in range(n):
         assert used[v] == cap[v]
-        others = sorted(holder[v])
+        others = tuple(sorted(holder[v]))
+        holder[v].clear()  # release the search state as the stars replace it
         for i in range(0, len(others), k):
-            stars.append(Star(v, frozenset(others[i:i + k])))
+            stars.append(_star(v, others[i:i + k]))
     return stars
 
 
@@ -191,20 +192,20 @@ def verify_decomposition(
     # each vertex's edges not yet covered by a star
     uncovered = [set(row) for row in graph.rows]
     counts = [0] * graph.n
-    for star in stars:
-        if not (0 <= star.center < graph.n):
+    for center, leaves in stars:
+        if not (0 <= center < graph.n):
             return False
-        if len(star.leaves) != k or star.center in star.leaves:
+        if len(leaves) != k or center in leaves:
             return False
-        if not all(0 <= leaf < graph.n for leaf in star.leaves):
+        if not all(0 <= leaf < graph.n for leaf in leaves):
             return False
-        row = uncovered[star.center]
-        if not star.leaves <= row:
+        row = uncovered[center]
+        if not row.issuperset(leaves):
             return False
-        row -= star.leaves
-        for leaf in star.leaves:
-            uncovered[leaf].remove(star.center)
-        counts[star.center] += 1
+        row.difference_update(leaves)
+        for leaf in leaves:
+            uncovered[leaf].remove(center)
+        counts[center] += 1
     if any(uncovered):
         return False
     if p is not None:

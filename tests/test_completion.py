@@ -16,20 +16,23 @@ from stardeck import (
     Star,
     complete,
     decompose_2stars,
+    decompose_exhaustive,
     design_exists,
     design_from_doc,
     gen_uncompletable,
     is_admissible,
     pad_to_threshold,
+    realize,
     reduce_design,
     small_order_precentral,
+    suitable,
     threshold_u,
     verify_decomposition,
 )
 from stardeck import completion
 from stardeck.completion import _merged
 
-from conftest import seeded_design, seeded_design_at_most_u
+from conftest import graphs, seeded_design, seeded_design_at_most_u
 
 
 def _assert_completed(d: PartialDesign, result) -> None:
@@ -432,6 +435,162 @@ def test_merge_rejects_doubly_covered_edge():
     stars = [*full.stars[:-1], full.stars[0]]
     with pytest.raises(CompletionDefect, match="covered twice"):
         _merged(6, 3, stars, [])
+
+
+def _corrupt(kind: str, stars: list[Star], n: int) -> list[Star]:
+    """The stars with the last one broken in the given way."""
+    center, leaves = stars[-1]
+    broken = {
+        "leaf-too-large": lambda: Star(center, (*leaves[:-1], n + 3)),
+        "leaf-negative": lambda: Star(center, (-1, *leaves[1:])),
+        "center-is-leaf": lambda: Star(center, (*leaves[:-1], center)),
+        "leaf-count": lambda: Star(center, leaves[:-1]),
+        "repeated-edge": lambda: stars[0],
+    }[kind]()
+    return [*stars[:-1], broken]
+
+
+@pytest.mark.parametrize("kind, words", [
+    ("leaf-too-large", "out of range"),
+    ("leaf-negative", "leaf -1 out of range"),
+    ("center-is-leaf", "is also a leaf"),
+    ("leaf-count", "leaves, expected"),
+    ("repeated-edge", "covered twice"),
+])
+@pytest.mark.parametrize("name, design, step", [
+    ("realize", PartialDesign(12, 3), "construction=suitable"),
+    ("realize", seeded_design(10, 3, 4, seed=12), "construction=small-order"),
+    ("decompose_2stars", PartialDesign(8, 2), "construction=2star"),
+])
+def test_merge_defect_words_validate_exactly(monkeypatch, kind, words, name, design, step):
+    assert step in complete(design).trace
+    original = getattr(completion, name)
+    monkeypatch.setattr(
+        completion, name, lambda *args: _corrupt(kind, original(*args), design.n))
+    checked = []
+    quick = completion._valid_quick
+
+    def spy(n, k, stars):
+        checked.append(PartialDesign(n, k, stars))
+        return quick(n, k, stars)
+
+    monkeypatch.setattr(completion, "_valid_quick", spy)
+    with pytest.raises(CompletionDefect) as err:
+        complete(design)
+    [merged] = checked
+    violations = merged.validate()
+    assert words in "; ".join(violations)
+    assert str(err.value) == "merged design invalid: " + "; ".join(violations)
+
+
+def test_quick_check_agrees_with_validate():
+    rng = random.Random(3)
+    full = complete(PartialDesign(13, 3)).design
+    assert completion._valid_quick(13, 3, full.stars)
+    for _ in range(300):
+        stars = list(full.stars)
+        i = rng.randrange(len(stars))
+        center, leaves = stars[i]
+        stars[i] = Star(rng.randrange(-1, 15), [
+            rng.randrange(-2, 15) if rng.random() < 0.3 else v for v in leaves])
+        if rng.random() < 0.2:
+            stars.append(stars[rng.randrange(len(stars))])
+        d = PartialDesign(13, 3, tuple(stars))
+        assert completion._valid_quick(13, 3, d.stars) == (d.validate() == [])
+    # one leaf moved between two stars of the same center: every edge is
+    # still covered once, but the stars have k - 1 and k + 1 leaves
+    i, j = next((i, j) for i, j in combinations(range(len(full.stars)), 2)
+                if full.stars[i].center == full.stars[j].center)
+    (center, short), (_, long) = full.stars[i], full.stars[j]
+    stars = list(full.stars)
+    stars[i], stars[j] = Star(center, short[1:]), Star(center, {short[0], *long})
+    assert not completion._valid_quick(13, 3, tuple(stars))
+    assert not completion._valid_quick(0, 3, ())
+    assert not completion._valid_quick(5, 1, ())
+
+
+# ------------------------------------------------------------ ascending leaves
+
+
+def _assert_ascending(stars) -> None:
+    for s in stars:
+        leaves = s.leaves
+        assert type(s) is Star and type(leaves) is tuple, s
+        assert all(a < b for a, b in zip(leaves, leaves[1:])), s
+
+
+def test_every_construction_builds_ascending_leaves():
+    paths = set()
+    rng = random.Random(17)
+    for k in (2, 3, 4, 5):
+        for n in range(2 * k, 6 * k + 2):
+            if not design_exists(n, k):
+                continue
+            u = threshold_u(n, k)
+            for m in sorted({0, u // 2, u, u + 1, u + 2}):
+                try:
+                    d = seeded_design(n, k, m, seed=rng.randrange(2**30))
+                except ValueError:
+                    continue  # no room for m stars
+                if m <= u:
+                    padded = pad_to_threshold(d)
+                    _assert_ascending(padded.stars)
+                    if padded.is_reducible():
+                        smaller, _, removed = reduce_design(padded)
+                        _assert_ascending(smaller.stars)
+                        _assert_ascending(removed)
+                r = complete(d, oracle_budget=1000)
+                if r.outcome == "completed":
+                    _assert_ascending(r.design.stars)
+                    paths.update(t for t in r.trace if t.startswith("construction="))
+                    paths.update("reduction" for t in r.trace if t.startswith("reduce@"))
+        for n in range(2, 6 * k):
+            if is_admissible(n, k):
+                _assert_ascending(gen_uncompletable(n, k).stars)
+    assert paths >= {
+        "construction=2star", "construction=relabel-2k", "construction=small-order",
+        "construction=suitable", "reduction",
+    }
+
+
+def test_over_threshold_exits_build_ascending_leaves():
+    for d, step in [
+        (seeded_design(16, 5, 6, seed=11), "repair+1"),
+        (PartialDesign(9, 3, tuple(Star(v, {v + 1, v + 2, v + 3}) for v in range(4))),
+         "construction=suitable"),
+        (seeded_design(5, 2, 3, seed=0), "construction=2star"),
+        (PartialDesign(7, 3, (Star(5, {0, 2, 4}), Star(0, {1, 2, 3}), Star(1, {3, 4, 6}))),
+         "construction=oracle"),
+    ]:
+        r = complete(d, oracle_budget=1000)
+        assert r.outcome == "completed" and step in r.trace
+        _assert_ascending(r.design.stars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.integers(min_value=2, max_value=4))
+def test_graph_decompositions_have_ascending_leaves(graph, k):
+    pairing = decompose_2stars(graph)
+    if not isinstance(pairing, Infeasible):
+        _assert_ascending(pairing)
+    extra = graph.edge_count % k
+    if extra:
+        graph = Graph.from_edges(graph.n, graph.sorted_edges()[:-extra])
+    found = decompose_exhaustive(graph, k, budget=2000)
+    if found.status == "found":
+        _assert_ascending(found.stars)
+    built = realize(graph, k, suitable(graph, k))
+    if not isinstance(built, Infeasible):
+        _assert_ascending(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2**30))
+def test_completions_have_ascending_leaves(k, seed):
+    rng = random.Random(seed)
+    n = rng.choice([n for n in range(2 * k, 7 * k) if design_exists(n, k)])
+    d = seeded_design_at_most_u(n, k, seed)
+    _assert_ascending(complete(d).design.stars)
 
 
 # -------------------------------------------------------------- over threshold

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
+import pickle
 import random
 import re
 import sys
@@ -106,11 +108,29 @@ def test_has_edge_is_false_off_the_graph(a, b):
     assert g.has_edge(3, 0) and g.has_edge(0, 3)
 
 
-@pytest.mark.parametrize("leaves", [[3, 1, 2], {1, 2, 3}, (3, 2, 1)])
-def test_star_leaves_are_always_a_frozenset(leaves):
+@pytest.mark.parametrize("leaves", [
+    [3, 1, 2], {1, 2, 3}, (3, 2, 1), frozenset({2, 3, 1}), [3, 1, 1, 2],
+    (x for x in (2, 3, 1, 3)),
+])
+def test_star_leaves_are_always_a_sorted_tuple(leaves):
     s = Star(0, leaves)
-    assert type(s.leaves) is frozenset and s.leaves == {1, 2, 3}
-    assert s == Star(0, frozenset({1, 2, 3}))
+    assert type(s.leaves) is tuple and s.leaves == (1, 2, 3)
+    assert s.center == 0 and s.sorted_leaves() == [1, 2, 3]
+    for other in ([1, 2, 3], {3, 2, 1}, (2, 1, 3), frozenset({1, 2, 3})):
+        assert s == Star(0, other) and hash(s) == hash(Star(0, other))
+    assert s != Star(0, (1, 2, 4)) and s != Star(1, (1, 2, 3))
+    assert len({s, Star(0, [2, 1, 3])}) == 1
+    assert not hasattr(s, "__dict__")
+    with pytest.raises(AttributeError):
+        s.leaves = (4, 5, 6)  # type: ignore[misc]
+    assert repr(s) == "Star(center=0, leaves=(1, 2, 3))"
+    assert pickle.loads(pickle.dumps(s)) == s and copy.copy(s) == s
+
+
+def test_duplicated_json_leaf_counts_once():
+    d = loads_design('{"n":6,"k":3,"stars":[{"center":0,"leaves":[2,1,2]}]}')
+    assert d.stars[0].leaves == (1, 2)
+    assert d.validate() == ["star 0: has 2 leaves, expected 3"]
 
 
 def test_complete_graph_edge_counts():
