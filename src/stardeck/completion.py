@@ -70,16 +70,15 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
     incident edges as center and its k smallest uncovered neighbors as
     leaves.  Below the threshold such a vertex always exists.
     """
-    leftover = design.leftover()
     n, k = design.n, design.k
-    if not is_admissible(n, k) or n < 2 * k:
-        raise ValueError("padding requires an admissible order n >= 2k")
+    if k < 2 or not is_admissible(n, k) or n < 2 * k:
+        raise ValueError("padding requires k >= 2 and an admissible order n >= 2k")
     target = threshold_u(n, k)
     if len(design.stars) > target:
         raise ValueError(
             f"design already has {len(design.stars)} > u = {target} stars"
         )
-    rows = leftover.rows
+    rows = design.leftover().rows
     # uncovered degrees; the added stars' edges {a, b}, a < b, keyed by a * n + b
     degree = list(map(len, rows))
     taken: set[int] = set()
@@ -198,7 +197,6 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
     admissible).  Centers get 2 minus their star count; a computed number of
     highest-leftover-degree non-centers get 2; everyone else gets 1.
     """
-    leftover = design.leftover()
     n, k = design.n, design.k
     if k < 3:
         raise ValueError("small_order_precentral requires k >= 3")
@@ -212,6 +210,7 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         raise ValueError("design must have exactly u(n, k) stars")
     if design.is_reducible():
         raise ValueError("design must be non-reducible")
+    leftover = design.leftover()
     central = design.central_function()
     centers = [v for v in range(n) if central[v] >= 1]
     if n <= 3 * k:
@@ -339,18 +338,6 @@ def _check_degree_facts(leftover: Graph, k: int) -> None:
                     )
 
 
-def _realize_or_defect(leftover: Graph, k: int, p: Precentral,
-                       context: str) -> list[Star]:
-    result = realize(leftover, k, p)
-    if isinstance(result, Infeasible):
-        witness = sorted(result.vertices)
-        raise CompletionDefect(
-            f"{context}: realization infeasible, witness subset {witness} "
-            "has negative supply-demand balance"
-        )
-    return result
-
-
 def complete(
     design: PartialDesign,
     *,
@@ -380,27 +367,32 @@ def complete(
         return CompletionResult(
             "impossible", reason="order-too-small", trace=tuple(trace)
         )
-    u = threshold_u(n, k)
-    if len(design.stars) > u:
+    if len(design.stars) > threshold_u(n, k):
         return _attempt_over_threshold(design, budget, oracle_max_n, trace)
+    return _merged(n, k, _completed_stars(design, trace), trace)
 
-    work = design
-    if len(work.stars) < u:
-        work = pad_to_threshold(work)
+
+def _completed_stars(design: PartialDesign, trace: list[str]) -> list[Star]:
+    """The stars of a full design containing the given one, unchecked.
+
+    The design must be valid, of admissible order n >= 2k, with at most
+    u(n, k) stars.  Each step taken is appended to ``trace``; a reduced
+    design's own steps go into one ``recurse{...}`` entry.
+    """
+    n, k = design.n, design.k
+    u = threshold_u(n, k)
+    if len(design.stars) < u:
         trace.append(f"pad+{u - len(design.stars)}")
+        design = pad_to_threshold(design)
 
-    if work.is_reducible():
-        smaller, x, removed = reduce_design(work)
+    if design.is_reducible():
+        smaller, x, removed = reduce_design(design)
         trace.append(f"reduce@{x}")
-        sub = complete(smaller, oracle_budget=budget, oracle_max_n=oracle_max_n)
-        if sub.outcome != "completed" or sub.design is None:
-            raise CompletionDefect(
-                f"reduced order-{smaller.n} design failed to complete"
-            )
-        trace.append("recurse{" + ";".join(sub.trace) + "}")
-        stars = list(sub.design.stars)
-        del sub  # the list holds the sub-design's stars, so relabeling frees each
-        _relabel(stars, [*range(x), *range(x + 1, n)].__getitem__)
+        steps: list[str] = []
+        stars = _completed_stars(smaller, steps)
+        trace.append("recurse{" + ";".join(steps) + "}")
+        # skip x; an out-of-range label stays out of range for the merge check
+        _relabel(stars, lambda v: v + (v >= x))
         stars.extend(removed)
         # the removed vertex's uncovered edges, in k-sized ascending blocks
         covered = {x}.union(*(leaves for _, leaves in removed))
@@ -408,21 +400,21 @@ def complete(
         assert len(free) % k == 0
         for i in range(0, len(free), k):
             stars.append(_star(x, free[i:i + k]))
-        return _merged(n, k, stars, trace)
+        return stars
 
     if k == 2:
-        pairing = decompose_2stars(work.leftover())
+        pairing = decompose_2stars(design.leftover())
         if isinstance(pairing, Infeasible):
             raise CompletionDefect(
                 "threshold design leftover has an odd component: "
                 f"{sorted(pairing.vertices)}"
             )
         trace.append("construction=2star")
-        return _merged(n, k, [*work.stars, *pairing], trace)
+        return [*design.stars, *pairing]
 
     if n == 2 * k:
         trace.append("construction=relabel-2k")
-        return _merged(n, k, [*work.stars, *_relabel_canonical(work)], trace)
+        return [*design.stars, *_relabel_canonical(design)]
 
     if n == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled
@@ -432,24 +424,27 @@ def complete(
             "order 2k+1 threshold design was not reducible; unreachable"
         )
 
-    leftover = work.leftover()
+    leftover = design.leftover()
     if n <= 3 * k + 1:
         trace.append("construction=small-order")
-        p = small_order_precentral(work)
-        stars = _realize_or_defect(leftover, k, p, "small-order construction")
-        return _merged(n, k, [*work.stars, *stars], trace)
-
-    trace.append("construction=suitable")
-    _check_degree_facts(leftover, k)
-    p = suitable(leftover, k)
-    residue = find_bad(p, leftover, k)
-    if residue is not None:
+        p = small_order_precentral(design)
+    else:
+        trace.append("construction=suitable")
+        _check_degree_facts(leftover, k)
+        p = suitable(leftover, k)
+        residue = find_bad(p, leftover, k)
+        if residue is not None:
+            raise CompletionDefect(
+                f"suitable function still flawed on in-scope leftover: {residue}"
+            )
+    stars = realize(leftover, k, p)
+    if isinstance(stars, Infeasible):
         raise CompletionDefect(
-            f"suitable function still flawed on in-scope leftover: {residue}"
+            f"{trace[-1]}: realization infeasible, witness subset "
+            f"{sorted(stars.vertices)} has negative supply-demand balance"
         )
-    stars = _realize_or_defect(leftover, k, p, "suitable construction")
-    del leftover, p  # free the O(n^2) leftover before the merged design is validated
-    return _merged(n, k, [*work.stars, *stars], trace)
+    del leftover, p  # free the O(n^2) leftover before the full star list is built
+    return [*design.stars, *stars]
 
 
 def _attempt_over_threshold(

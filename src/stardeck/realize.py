@@ -195,7 +195,7 @@ def verify_decomposition(
     for center, leaves in stars:
         if not (0 <= center < graph.n):
             return False
-        if len(leaves) != k or center in leaves:
+        if len(leaves) != k or len(set(leaves)) != k or center in leaves:
             return False
         if not all(0 <= leaf < graph.n for leaf in leaves):
             return False

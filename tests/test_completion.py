@@ -93,6 +93,19 @@ def test_pad_keeps_existing_stars():
     assert p.validate() == []
 
 
+def test_helpers_check_parameters_before_building_a_leftover(monkeypatch):
+    def refused(self):
+        raise AssertionError("leftover built before the parameter checks")
+
+    monkeypatch.setattr(PartialDesign, "leftover", refused)
+    with pytest.raises(ValueError):
+        pad_to_threshold(PartialDesign(8, 3))
+    with pytest.raises(ValueError):
+        pad_to_threshold(PartialDesign(8, 0))  # no division by k = 0
+    with pytest.raises(ValueError):
+        small_order_precentral(seeded_design(13, 5, 0, seed=0))
+
+
 def test_pad_rejects_design_over_threshold():
     with pytest.raises(ValueError):
         pad_to_threshold(gen_uncompletable(6, 3))
@@ -348,6 +361,28 @@ def test_complete_via_reduction():
     assert any(step.startswith("reduce@") for step in r.trace)
 
 
+def test_complete_reduced_design_is_validated_and_merged_once(monkeypatch):
+    counts = {"_valid_quick": 0, "complete": 0}
+
+    def spy(name):
+        original = getattr(completion, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(completion, name, counted)
+
+    spy("_valid_quick")
+    spy("complete")
+    r = completion.complete(PartialDesign(16, 3))
+    _assert_completed(PartialDesign(16, 3), r)
+    assert r.trace == (
+        "validated", "pad+8", "reduce@0", "recurse{pad+4;construction=suitable}", "merged"
+    )
+    assert counts == {"_valid_quick": 1, "complete": 1}
+
+
 def test_complete_k2_route():
     d = PartialDesign(5, 2)
     r = complete(d)
@@ -414,6 +449,7 @@ def test_complete_randomized_guarantee_small_grid():
         ),
         ("realize", seeded_design(10, 3, 4, seed=12), "construction=small-order"),
         ("realize", PartialDesign(12, 3), "construction=suitable"),
+        ("realize", PartialDesign(16, 3), "reduce@0"),
     ],
 )
 def test_merge_rejects_construction_one_star_short(monkeypatch, name, design, step):
@@ -461,6 +497,7 @@ def _corrupt(kind: str, stars: list[Star], n: int) -> list[Star]:
     ("realize", PartialDesign(12, 3), "construction=suitable"),
     ("realize", seeded_design(10, 3, 4, seed=12), "construction=small-order"),
     ("decompose_2stars", PartialDesign(8, 2), "construction=2star"),
+    ("realize", PartialDesign(16, 3), "reduce@0"),
 ])
 def test_merge_defect_words_validate_exactly(monkeypatch, kind, words, name, design, step):
     assert step in complete(design).trace

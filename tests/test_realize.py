@@ -160,6 +160,11 @@ def test_verify_rejects_wrong_star_size():
     assert verify_decomposition(g, 3, [Star(0, frozenset({1, 2}))]) is False
 
 
+def test_verify_rejects_repeated_leaf():
+    # a plain tuple, since Star() would drop the repeat
+    assert verify_decomposition(Graph.complete(4), 3, [(0, (1, 1, 2))]) is False
+
+
 # ----------------------------------------------------------------- equivalence
 
 
