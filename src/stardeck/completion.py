@@ -12,14 +12,16 @@ unknown.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from .designs import (
     Graph,
     PartialDesign,
     Star,
+    _reduction_vertex,
     _star,
     design_to_doc,
     is_admissible,
@@ -78,13 +80,30 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
         raise ValueError(
             f"design already has {len(design.stars)} > u = {target} stars"
         )
-    rows = design.leftover().rows
-    # uncovered degrees; the added stars' edges {a, b}, a < b, keyed by a * n + b
+    stars = [*design.stars]
+    _pad(k, [*design.leftover().rows], stars, target, [])
+    return PartialDesign(n, k, tuple(stars))
+
+
+def _pad(k: int, rows: list[tuple[int, ...]], stars: list[Star], target: int,
+         trace: list[str]) -> None:
+    """The greedy padding of :func:`pad_to_threshold`, on leftover rows.
+
+    Appends stars to ``stars`` until there are ``target`` of them, and
+    replaces each row they touch by the row without their edges.  A vertex
+    of degree 0 is never used.  Notes ``pad+N`` in ``trace`` when N > 0.
+    """
+    if len(stars) >= target:
+        return
+    trace.append(f"pad+{target - len(stars)}")
+    n = len(rows)
     degree = list(map(len, rows))
+    # the added stars' edges {a, b}, a < b, keyed by a * n + b, and each
+    # vertex's partners along them
     taken: set[int] = set()
+    gone: dict[int, list[int]] = {}
     # rows[v][:start[v]] are all taken, since v takes its smallest free partners
     start = [0] * n
-    stars = list(design.stars)
     center = 0
     while len(stars) < target:
         # degrees never rise, so the smallest vertex with room never falls
@@ -105,19 +124,20 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
         for leaf in leaves:
             taken.add(center * n + leaf if center < leaf else leaf * n + center)
             degree[leaf] -= 1
+            gone.setdefault(leaf, []).append(center)
         degree[center] -= k
+        gone.setdefault(center, []).extend(leaves)
         stars.append(_star(center, tuple(leaves)))
-    return PartialDesign(n, k, tuple(stars))
+    for v, partners in gone.items():
+        rows[v] = _without(rows[v], partners)
 
 
-def _relabel(stars: list[Star], f: Callable[[int], int]) -> None:
-    """Rename every vertex v of the listed stars to f(v), in place.
-
-    f must be increasing, which keeps each star's leaves ascending.  Each
-    old star is released as its replacement goes in.
-    """
-    for i, (center, leaves) in enumerate(stars):
-        stars[i] = _star(f(center), tuple([*map(f, leaves)]))
+def _without(row: tuple[int, ...], partners: Iterable[int]) -> tuple[int, ...]:
+    """The ascending row with the given members deleted."""
+    out = [*row]
+    for w in sorted(partners, reverse=True):
+        del out[bisect_left(out, w)]
+    return tuple(out)
 
 
 def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
@@ -130,13 +150,17 @@ def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star
     """
     if not design.is_reducible():
         raise ValueError("design is not reducible")
-    x = design.reduction_vertex()
+    n, k = design.n, design.k
+    x = _reduction_vertex(n, design.stars)
     assert x is not None
     removed = tuple(s for s in design.stars if s.center == x)
-    kept = [s for s in design.stars if s.center != x]
-    _relabel(kept, lambda v: v if v < x else v - 1)
-    smaller = PartialDesign(design.n - 1, design.k, kept)
-    return smaller, x, removed
+    # every label above x moves down one; the stars share the table's ints
+    label = [*range(x + 1), *range(x, n - 1)]
+    kept = [
+        _star(label[center], tuple([label[v] for v in leaves]))
+        for center, leaves in design.stars if center != x
+    ]
+    return PartialDesign(n - 1, k, kept), x, removed
 
 
 def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
@@ -210,9 +234,18 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         raise ValueError("design must have exactly u(n, k) stars")
     if design.is_reducible():
         raise ValueError("design must be non-reducible")
-    leftover = design.leftover()
-    central = design.central_function()
-    centers = [v for v in range(n) if central[v] >= 1]
+    return _small_order_precentral(n, k, design.leftover(), design.stars, range(n))
+
+
+def _small_order_precentral(n: int, k: int, leftover: Graph, stars: Iterable[Star],
+                            vertices: Sequence[int]) -> Precentral:
+    """:func:`small_order_precentral` of the order-n design on ``vertices``
+    with the given stars and leftover; any other vertex of the leftover is
+    isolated and gets 0."""
+    central = [0] * leftover.n
+    for center, _ in stars:
+        central[center] += 1
+    centers = [v for v in vertices if central[v] >= 1]
     if n <= 3 * k:
         b = n - 2 * k
         assert len(centers) in (2, 3)
@@ -225,14 +258,14 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         boosted = h + (3 * k - 7) // 2
     assert 0 <= boosted <= n - len(centers)
     rest = sorted(
-        (v for v in range(n) if central[v] == 0),
+        (v for v in vertices if central[v] == 0),
         key=lambda v: (-leftover.degree(v), v),
     )
-    chosen = set(rest[:boosted])
-    values = [
-        2 - central[v] if central[v] >= 1 else (2 if v in chosen else 1)
-        for v in range(n)
-    ]
+    values = [0] * leftover.n
+    for v in vertices:
+        values[v] = 2 - central[v] if central[v] >= 1 else 1
+    for v in rest[:boosted]:
+        values[v] = 2
     assert all(v >= 0 for v in values)
     return Precentral.of_graph(leftover, k, values)
 
@@ -249,23 +282,21 @@ def _canonical_design(k: int) -> tuple[Star, ...]:
     return tuple(result)
 
 
-def _relabel_canonical(design: PartialDesign) -> list[Star]:
+def _relabel_canonical(star: Star, k: int, vertices: Sequence[int]) -> list[Star]:
     """Map the canonical order-2k design onto the one given star.
 
-    Returns the other stars of the mapped design; the given star is the
-    image of the canonical design's first star.
+    ``vertices`` are the 2k vertices of the design.  Returns the other stars
+    of the mapped design; the given star is the image of the canonical
+    design's first star.
     """
-    n, k = design.n, design.k
-    star = design.stars[0]
     canon = _canonical_design(k)
-    anchor = canon[0]
 
-    def order(s: Star) -> list[int]:
+    def order(s: Star, among: Iterable[int]) -> list[int]:
         # the center, the leaves ascending, then every other vertex ascending
         center, leaves = s
-        return [center, *leaves, *(v for v in range(n) if v != center and v not in leaves)]
+        return [center, *leaves, *(v for v in among if v != center and v not in leaves)]
 
-    to = dict(zip(order(anchor), order(star))).__getitem__
+    to = dict(zip(order(canon[0], range(2 * k)), order(star, vertices))).__getitem__
     # the map is not increasing, so the leaves are sorted again
     return [Star(to(center), map(to, leaves)) for center, leaves in canon[1:]]
 
@@ -311,31 +342,27 @@ def _merged(n: int, k: int, stars: Iterable[Star],
     return CompletionResult("completed", full, trace=tuple(trace))
 
 
-def _check_degree_facts(leftover: Graph, k: int) -> None:
-    # facts that hold for leftovers of threshold designs in the large regime;
-    # violations mean the caller dispatched a graph it should not have
+def _check_degree_facts(leftover: Graph, k: int, vertices: Iterable[int]) -> None:
+    # facts that hold for leftovers of threshold designs in the large regime,
+    # on the design's vertices; violations mean the caller dispatched a graph
+    # it should not have
     degrees = leftover.degrees()
-    low = [v for v in range(leftover.n) if degrees[v] <= k]
-    if len(low) > 1:
+    low = [v for v in vertices if degrees[v] < 2 * k]
+    lowest = [v for v in low if degrees[v] <= k]
+    if len(lowest) > 1:
         raise CompletionDefect(
-            f"expected at most one leftover vertex of degree <= k, found {low}"
+            f"expected at most one leftover vertex of degree <= k, found {lowest}"
         )
-    if sum(1 for d in degrees if d < 2 * k) < 3:
+    if len(low) < 3:
         return  # a defect needs an adjacent pair plus a third such vertex
-    for a, row in enumerate(leftover.rows):
-        if degrees[a] >= 2 * k:
-            continue
-        for b in row:
+    for a in low:
+        for b in leftover.rows[a]:
             if b > a and degrees[b] < 2 * k:
-                others = [
-                    v for v in range(leftover.n)
-                    if v not in (a, b) and degrees[v] < 2 * k
-                ]
-                if others:
-                    raise CompletionDefect(
-                        f"adjacent low-degree pair ({a},{b}) plus further "
-                        f"low-degree vertices {others} in leftover"
-                    )
+                others = [v for v in low if v not in (a, b)]
+                raise CompletionDefect(
+                    f"adjacent low-degree pair ({a},{b}) plus further "
+                    f"low-degree vertices {others} in leftover"
+                )
 
 
 def complete(
@@ -352,69 +379,93 @@ def complete(
     certified "impossible", or "unknown" when only the exhaustive oracle
     could decide and the order or node budget rules it out.
     """
-    design._require_valid()
     n, k = design.n, design.k
     budget = default_budget() if oracle_budget is None else oracle_budget
     trace: list[str] = ["validated"]
-    if n == 1:
-        trace.append("trivial-order-1")
-        return CompletionResult("completed", design, trace=tuple(trace))
-    if not is_admissible(n, k):
-        return CompletionResult(
-            "impossible", reason="not-admissible", trace=tuple(trace)
-        )
-    if n < 2 * k:
+    if k < 2 or n < 2 * k or not is_admissible(n, k):
+        design._require_valid()
+        if n == 1:
+            trace.append("trivial-order-1")
+            return CompletionResult("completed", design, trace=tuple(trace))
+        if not is_admissible(n, k):
+            return CompletionResult(
+                "impossible", reason="not-admissible", trace=tuple(trace)
+            )
         return CompletionResult(
             "impossible", reason="order-too-small", trace=tuple(trace)
         )
+    # leftover() validates: the design's one check, the graph its one build
     if len(design.stars) > threshold_u(n, k):
-        return _attempt_over_threshold(design, budget, oracle_max_n, trace)
-    return _merged(n, k, _completed_stars(design, trace), trace)
+        return _attempt_over_threshold(
+            design, design.leftover(), budget, oracle_max_n, trace
+        )
+    return _merged(n, k, _completed_stars(design, design.leftover(), trace), trace)
 
 
-def _completed_stars(design: PartialDesign, trace: list[str]) -> list[Star]:
+def _completed_stars(design: PartialDesign, leftover: Graph,
+                     trace: list[str]) -> list[Star]:
     """The stars of a full design containing the given one, unchecked.
 
     The design must be valid, of admissible order n >= 2k, with at most
-    u(n, k) stars.  Each step taken is appended to ``trace``; a reduced
-    design's own steps go into one ``recurse{...}`` entry.
+    u(n, k) stars, and ``leftover`` must be its leftover.  Each step taken
+    is appended to ``trace``; a reduced design's own steps go into one
+    ``recurse{...}`` entry.
     """
     n, k = design.n, design.k
-    u = threshold_u(n, k)
-    if len(design.stars) < u:
-        trace.append(f"pad+{u - len(design.stars)}")
-        design = pad_to_threshold(design)
+    stars = [*design.stars]
+    rows = [*leftover.rows]
+    del leftover  # so the rows that padding replaces are freed
+    _pad(k, rows, stars, threshold_u(n, k), trace)
+    x = _reduction_vertex(n, stars) if n % k == 1 else None
+    if x is None:
+        built = _construction(n, k, stars, rows, None, trace)
+        del rows  # free the O(n^2) leftover before the full star list is built
+        return [*stars, *built]
 
-    if design.is_reducible():
-        smaller, x, removed = reduce_design(design)
-        trace.append(f"reduce@{x}")
-        steps: list[str] = []
-        stars = _completed_stars(smaller, steps)
-        trace.append("recurse{" + ";".join(steps) + "}")
-        # skip x; an out-of-range label stays out of range for the merge check
-        _relabel(stars, lambda v: v + (v >= x))
-        stars.extend(removed)
-        # the removed vertex's uncovered edges, in k-sized ascending blocks
-        covered = {x}.union(*(leaves for _, leaves in removed))
-        free = tuple([v for v in range(n) if v not in covered])
-        assert len(free) % k == 0
-        for i in range(0, len(free), k):
-            stars.append(_star(x, free[i:i + k]))
-        return stars
+    # x's free edges, in k-sized ascending blocks, become its own stars.  That
+    # isolates x, and the rest of the leftover is the leftover of the order
+    # n - 1 design of the other stars.  That order is 0 mod k, so the
+    # design is not reducible again.
+    trace.append(f"reduce@{x}")
+    own = [s for s in stars if s.center == x]
+    stars = [s for s in stars if s.center != x]
+    free = rows[x]
+    assert len(free) % k == 0
+    own.extend(_star(x, free[i:i + k]) for i in range(0, len(free), k))
+    rows[x] = ()
+    for v in free:
+        rows[v] = _without(rows[v], (x,))
+    steps: list[str] = []
+    _pad(k, rows, stars, threshold_u(n - 1, k), steps)
+    built = _construction(n - 1, k, stars, rows, x, steps)
+    trace.append("recurse{" + ";".join(steps) + "}")
+    del rows  # as above
+    return [*stars, *built, *own]
 
+
+def _construction(n: int, k: int, stars: list[Star], rows: list[tuple[int, ...]],
+                  isolated: int | None, trace: list[str]) -> list[Star]:
+    """Stars that decompose the leftover ``rows`` of a non-reducible design.
+
+    The design has order n and exactly u(n, k) ``stars``.  Its vertices are
+    the rows' vertices but ``isolated``, when given: that vertex has neither
+    stars nor leftover edges.
+    """
+    leftover = Graph._of_rows(len(rows), tuple(rows))
     if k == 2:
-        pairing = decompose_2stars(design.leftover())
+        pairing = decompose_2stars(leftover)
         if isinstance(pairing, Infeasible):
             raise CompletionDefect(
                 "threshold design leftover has an odd component: "
                 f"{sorted(pairing.vertices)}"
             )
         trace.append("construction=2star")
-        return [*design.stars, *pairing]
+        return pairing
 
+    vertices = [v for v in range(leftover.n) if v != isolated]
     if n == 2 * k:
         trace.append("construction=relabel-2k")
-        return [*design.stars, *_relabel_canonical(design)]
+        return _relabel_canonical(stars[0], k, vertices)
 
     if n == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled
@@ -424,36 +475,34 @@ def _completed_stars(design: PartialDesign, trace: list[str]) -> list[Star]:
             "order 2k+1 threshold design was not reducible; unreachable"
         )
 
-    leftover = design.leftover()
     if n <= 3 * k + 1:
         trace.append("construction=small-order")
-        p = small_order_precentral(design)
+        p = _small_order_precentral(n, k, leftover, stars, vertices)
     else:
         trace.append("construction=suitable")
-        _check_degree_facts(leftover, k)
+        _check_degree_facts(leftover, k, vertices)
         p = suitable(leftover, k)
         residue = find_bad(p, leftover, k)
         if residue is not None:
             raise CompletionDefect(
                 f"suitable function still flawed on in-scope leftover: {residue}"
             )
-    stars = realize(leftover, k, p)
-    if isinstance(stars, Infeasible):
+    built = realize(leftover, k, p)
+    if isinstance(built, Infeasible):
         raise CompletionDefect(
             f"{trace[-1]}: realization infeasible, witness subset "
-            f"{sorted(stars.vertices)} has negative supply-demand balance"
+            f"{sorted(built.vertices)} has negative supply-demand balance"
         )
-    del leftover, p  # free the O(n^2) leftover before the full star list is built
-    return [*design.stars, *stars]
+    return built
 
 
 def _attempt_over_threshold(
-    design: PartialDesign, budget: int, oracle_max_n: int, trace: list[str]
+    design: PartialDesign, leftover: Graph, budget: int, oracle_max_n: int,
+    trace: list[str],
 ) -> CompletionResult:
     """Best-effort handling of designs with more than u(n, k) stars."""
     n, k = design.n, design.k
     trace.append("over-threshold-attempt")
-    leftover = design.leftover()
     cert = blocked_edge(leftover, k)
     if cert is not None:
         trace.append("certificate=blocked-edge")

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from random import Random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 CentralFunction = tuple[int, ...]
 
@@ -256,12 +256,15 @@ class PartialDesign:
 
     def reduction_vertex(self) -> int | None:
         """Smallest vertex centering a star and appearing as a leaf of none."""
-        leaves = self.leaf_vertices()
-        central = self.central_function()
-        for v in range(self.n):
-            if central[v] >= 1 and v not in leaves:
-                return v
-        return None
+        return _reduction_vertex(self.n, self.stars)
+
+
+def _reduction_vertex(n: int, stars: Sequence[Star]) -> int | None:
+    """Smallest vertex of 0..n-1 centering one of the stars and a leaf of none."""
+    leaves = set().union(*(leaves for _, leaves in stars))
+    return min(
+        (c for c, _ in stars if 0 <= c < n and c not in leaves), default=None
+    )
 
 
 def random_design(n: int, k: int, m: int, rng: Random) -> PartialDesign:

@@ -22,6 +22,7 @@ from stardeck import (
     gen_uncompletable,
     is_admissible,
     pad_to_threshold,
+    random_design,
     realize,
     reduce_design,
     small_order_precentral,
@@ -383,6 +384,41 @@ def test_complete_reduced_design_is_validated_and_merged_once(monkeypatch):
     assert counts == {"_valid_quick": 1, "complete": 1}
 
 
+@pytest.mark.parametrize("design, trace", [
+    (PartialDesign(16, 3),
+     ("validated", "pad+8", "reduce@0", "recurse{pad+4;construction=suitable}", "merged")),
+    (PartialDesign(12, 3), ("validated", "pad+5", "construction=suitable", "merged")),
+])
+def test_complete_validates_once_and_builds_one_leftover(monkeypatch, design, trace):
+    counts = {"validate": 0, "leftover": 0}
+
+    def spy(name):
+        original = getattr(PartialDesign, name)
+
+        def counted(self):
+            counts[name] += 1
+            return original(self)
+
+        monkeypatch.setattr(PartialDesign, name, counted)
+
+    spy("validate")
+    spy("leftover")
+    r = complete(design)
+    assert r.trace == trace
+    assert counts == {"validate": 1, "leftover": 1}
+    _assert_completed(design, r)
+
+
+def test_completion_shares_its_label_objects():
+    # every label of the result is one of a few int objects per vertex, not
+    # a fresh one per star; above 256 each computed int is a new object
+    n = 301
+    r = complete(PartialDesign(n, 3))
+    assert any(step.startswith("reduce@") for step in r.trace)
+    labels = {id(v) for center, leaves in r.design.stars for v in (center, *leaves)}
+    assert len(labels) <= 4 * n
+
+
 def test_complete_k2_route():
     d = PartialDesign(5, 2)
     r = complete(d)
@@ -725,6 +761,35 @@ def test_over_threshold_unknown_when_out_of_reach():
     r = complete(_k4_leftover_design(), oracle_max_n=5)
     assert r.outcome == "unknown"
     assert r.reason == "oracle-out-of-reach"
+
+
+def test_over_threshold_differential_fuzz():
+    # every verdict over the threshold is checked by an independent path:
+    # a completion by verify_decomposition on the leftover, a refutation by
+    # the exhaustive search; unknown is only the oracle's to give
+    rng = random.Random(6)
+    pairs = [(n, k) for k in range(2, 6) for n in range(2 * k, 13) if is_admissible(n, k)]
+    outcomes = set()
+    for i in range(300):
+        n, k = pairs[i % len(pairs)]
+        while True:
+            try:
+                d = random_design(n, k, threshold_u(n, k) + rng.randint(1, 3), rng)
+                break
+            except ValueError:
+                continue  # no room for that many stars; draw again
+        r = complete(d, oracle_budget=1000)
+        outcomes.add(r.outcome)
+        if r.outcome == "completed":
+            given = set(d.stars)
+            assert given <= set(r.design.stars)
+            new = [s for s in r.design.stars if s not in given]
+            assert verify_decomposition(d.leftover(), k, new), d
+        elif r.outcome == "impossible":
+            assert decompose_exhaustive(d.leftover(), k, budget=10**6).status == "none", d
+        else:
+            assert r.outcome == "unknown" and r.reason.startswith("oracle-"), r
+    assert outcomes >= {"completed", "impossible"}
 
 
 # ------------------------------------------------------------------ result doc
