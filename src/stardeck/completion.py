@@ -234,14 +234,15 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         raise ValueError("design must have exactly u(n, k) stars")
     if design.is_reducible():
         raise ValueError("design must be non-reducible")
-    return _small_order_precentral(n, k, design.leftover(), design.stars, range(n))
+    return _small_order_precentral(k, design.leftover(), design.stars, range(n))
 
 
-def _small_order_precentral(n: int, k: int, leftover: Graph, stars: Iterable[Star],
+def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
                             vertices: Sequence[int]) -> Precentral:
-    """:func:`small_order_precentral` of the order-n design on ``vertices``
-    with the given stars and leftover; any other vertex of the leftover is
-    isolated and gets 0."""
+    """:func:`small_order_precentral` of the design on ``vertices`` with the
+    given stars and leftover; any other vertex of the leftover is isolated
+    and gets 0."""
+    n = len(vertices)
     central = [0] * leftover.n
     for center, _ in stars:
         central[center] += 1
@@ -282,13 +283,14 @@ def _canonical_design(k: int) -> tuple[Star, ...]:
     return tuple(result)
 
 
-def _relabel_canonical(star: Star, k: int, vertices: Sequence[int]) -> list[Star]:
+def _relabel_canonical(star: Star, vertices: Sequence[int]) -> list[Star]:
     """Map the canonical order-2k design onto the one given star.
 
     ``vertices`` are the 2k vertices of the design.  Returns the other stars
     of the mapped design; the given star is the image of the canonical
     design's first star.
     """
+    k = len(vertices) // 2
     canon = _canonical_design(k)
 
     def order(s: Star, among: Iterable[int]) -> list[int]:
@@ -418,7 +420,7 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
     _pad(k, rows, stars, threshold_u(n, k), trace)
     x = _reduction_vertex(n, stars) if n % k == 1 else None
     if x is None:
-        built = _construction(n, k, stars, rows, None, trace)
+        built = _construction(k, stars, rows, None, trace)
         del rows  # free the O(n^2) leftover before the full star list is built
         return [*stars, *built]
 
@@ -437,19 +439,19 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
         rows[v] = _without(rows[v], (x,))
     steps: list[str] = []
     _pad(k, rows, stars, threshold_u(n - 1, k), steps)
-    built = _construction(n - 1, k, stars, rows, x, steps)
+    built = _construction(k, stars, rows, x, steps)
     trace.append("recurse{" + ";".join(steps) + "}")
     del rows  # as above
     return [*stars, *built, *own]
 
 
-def _construction(n: int, k: int, stars: list[Star], rows: list[tuple[int, ...]],
+def _construction(k: int, stars: list[Star], rows: list[tuple[int, ...]],
                   isolated: int | None, trace: list[str]) -> list[Star]:
     """Stars that decompose the leftover ``rows`` of a non-reducible design.
 
-    The design has order n and exactly u(n, k) ``stars``.  Its vertices are
-    the rows' vertices but ``isolated``, when given: that vertex has neither
-    stars nor leftover edges.
+    The design's vertices are the rows' vertices but ``isolated``, when
+    given: that vertex has neither stars nor leftover edges.  With n of them,
+    the design has exactly u(n, k) ``stars``.
     """
     leftover = Graph._of_rows(len(rows), tuple(rows))
     if k == 2:
@@ -463,9 +465,10 @@ def _construction(n: int, k: int, stars: list[Star], rows: list[tuple[int, ...]]
         return pairing
 
     vertices = [v for v in range(leftover.n) if v != isolated]
+    n = len(vertices)
     if n == 2 * k:
         trace.append("construction=relabel-2k")
-        return _relabel_canonical(stars[0], k, vertices)
+        return _relabel_canonical(stars[0], vertices)
 
     if n == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled
@@ -477,7 +480,7 @@ def _construction(n: int, k: int, stars: list[Star], rows: list[tuple[int, ...]]
 
     if n <= 3 * k + 1:
         trace.append("construction=small-order")
-        p = _small_order_precentral(n, k, leftover, stars, vertices)
+        p = _small_order_precentral(k, leftover, stars, vertices)
     else:
         trace.append("construction=suitable")
         _check_degree_facts(leftover, k, vertices)
