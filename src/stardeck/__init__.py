@@ -4,7 +4,6 @@ from .completion import (
     CompletionDefect,
     CompletionResult,
     complete,
-    decompose_2stars,
     pad_to_threshold,
     reduce_design,
     small_order_precentral,
@@ -43,6 +42,7 @@ from .precentral import (
 from .realize import (
     Infeasible,
     construct,
+    decompose_2stars,
     realize,
     subset_check,
     verify_decomposition,

@@ -228,7 +228,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("seed", type=int)
     p.set_defaults(func=cmd_gen_random)
 
-    p = sub.add_parser("oracle", help="completability check: construct, then search")
+    p = sub.add_parser(
+        "oracle",
+        help="completability check: blocked edge, 2-star pairing, construct, "
+             "then search",
+    )
     p.add_argument("file")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_oracle)

@@ -27,10 +27,9 @@ from .designs import (
     is_admissible,
     threshold_u,
 )
-from .extremal import blocked_edge
-from .oracle import decompose_exhaustive, default_budget
+from .oracle import decide, default_budget
 from .precentral import Precentral, find_bad, minimal, suitable
-from .realize import Infeasible, construct, realize
+from .realize import Infeasible, decompose_2stars, realize
 
 
 class CompletionDefect(RuntimeError):
@@ -161,56 +160,6 @@ def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star
         for center, leaves in design.stars if center != x
     ]
     return PartialDesign(n - 1, k, kept), x, removed
-
-
-def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
-    """Decompose a graph into 2-stars (paths of two edges), if possible.
-
-    Possible exactly when every connected component has an even number of
-    edges.  Construction: per component, root a spanning tree at the smallest
-    vertex and sweep vertices in reverse breadth-first order, pairing each
-    vertex's unused non-parent edges two at a time and borrowing the parent
-    edge when one is left over.
-    """
-    n = graph.n
-    # paired edges {a, b}, a < b, keyed by a * n + b
-    used: set[int] = set()
-    seen = [False] * n
-    stars: list[Star] = []
-    for root in range(n):
-        if seen[root] or not graph.neighbors(root):
-            continue
-        order = [root]
-        parent: dict[int, int | None] = {root: None}
-        seen[root] = True
-        qi = 0
-        while qi < len(order):
-            w = order[qi]
-            qi += 1
-            for y in graph.neighbors(w):
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = w
-                    order.append(y)
-        comp_edge_count = sum(graph.degree(v) for v in order) // 2
-        if comp_edge_count % 2 != 0:
-            return Infeasible("odd-component", frozenset(order))
-        for v in reversed(order):
-            par = parent[v]
-            pending = [
-                y for y in graph.neighbors(v)
-                if y != par and (v * n + y if v < y else y * n + v) not in used
-            ]
-            if len(pending) % 2 == 1:
-                assert par is not None  # root parity is even by construction
-                pending.append(par)
-            for i in range(0, len(pending), 2):
-                y1, y2 = pending[i], pending[i + 1]
-                used.add(v * n + y1 if v < y1 else y1 * n + v)
-                used.add(v * n + y2 if v < y2 else y2 * n + v)
-                stars.append(Star(v, (y1, y2)))
-    assert len(used) == graph.edge_count
-    return stars
 
 
 def small_order_precentral(design: PartialDesign) -> Precentral:
@@ -397,11 +346,19 @@ def complete(
             "impossible", reason="order-too-small", trace=tuple(trace)
         )
     # leftover() validates: the design's one check, the graph its one build
-    if len(design.stars) > threshold_u(n, k):
-        return _attempt_over_threshold(
-            design, design.leftover(), budget, oracle_max_n, trace
-        )
-    return _merged(n, k, _completed_stars(design, design.leftover(), trace), trace)
+    if len(design.stars) <= threshold_u(n, k):
+        return _merged(n, k, _completed_stars(design, design.leftover(), trace), trace)
+    # over the threshold: admissibility makes k divide the leftover's edges
+    trace.append("over-threshold-attempt")
+    outcome, stars, reason, certificate = decide(
+        design.leftover(), k, budget, oracle_max_n, trace
+    )
+    if outcome == "yes":
+        return _merged(n, k, [*design.stars, *stars], trace)
+    return CompletionResult(
+        "impossible" if outcome == "no" else "unknown",
+        reason=reason, certificate=certificate, trace=tuple(trace),
+    )
 
 
 def _completed_stars(design: PartialDesign, leftover: Graph,
@@ -497,65 +454,3 @@ def _construction(k: int, stars: list[Star], rows: list[tuple[int, ...]],
             f"{sorted(built.vertices)} has negative supply-demand balance"
         )
     return built
-
-
-def _attempt_over_threshold(
-    design: PartialDesign, leftover: Graph, budget: int, oracle_max_n: int,
-    trace: list[str],
-) -> CompletionResult:
-    """Best-effort handling of designs with more than u(n, k) stars."""
-    n, k = design.n, design.k
-    trace.append("over-threshold-attempt")
-    cert = blocked_edge(leftover, k)
-    if cert is not None:
-        trace.append("certificate=blocked-edge")
-        return CompletionResult(
-            "impossible",
-            reason="blocked-edge",
-            certificate=cert.to_doc(),
-            trace=tuple(trace),
-        )
-    if k == 2:
-        pairing = decompose_2stars(leftover)
-        if isinstance(pairing, Infeasible):
-            # even edge count per component characterizes 2-star
-            # decomposability, so this is a certificate, not a give-up
-            trace.append("certificate=odd-component")
-            return CompletionResult(
-                "impossible",
-                reason="odd-component",
-                certificate={"odd_component": sorted(pairing.vertices)},
-                trace=tuple(trace),
-            )
-        trace.append("construction=2star")
-        return _merged(n, k, [*design.stars, *pairing], trace)
-    built = construct(leftover, k)
-    if built is not None:
-        stars, repairs = built
-        if repairs:
-            trace.append(f"repair+{repairs}")
-        trace.append("construction=suitable")
-        return _merged(n, k, [*design.stars, *stars], trace)
-    trace.append("realize-infeasible")
-    if n > oracle_max_n:
-        trace.append("oracle=out-of-reach")
-        return CompletionResult(
-            "unknown", reason="oracle-out-of-reach", trace=tuple(trace)
-        )
-    oracle = decompose_exhaustive(leftover, k, budget=budget)
-    if oracle.status == "found":
-        trace.append("construction=oracle")
-        assert oracle.stars is not None
-        return _merged(n, k, [*design.stars, *oracle.stars], trace)
-    if oracle.status == "none":
-        trace.append("certificate=oracle")
-        return CompletionResult(
-            "impossible",
-            reason="oracle",
-            certificate={"oracle_nodes": oracle.nodes},
-            trace=tuple(trace),
-        )
-    trace.append("oracle=budget-exceeded")
-    return CompletionResult(
-        "unknown", reason="oracle-budget-exceeded", trace=tuple(trace)
-    )

@@ -235,12 +235,6 @@ class PartialDesign:
                 counts[star.center] += 1
         return tuple(counts)
 
-    def leaf_vertices(self) -> set[int]:
-        out: set[int] = set()
-        for star in self.stars:
-            out.update(star.leaves)
-        return out
-
     def is_reducible(self) -> bool:
         """True iff the design admits the one-vertex reduction step.
 

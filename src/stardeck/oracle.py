@@ -4,8 +4,9 @@ Small instances only.  The search branches on the lexicographically smallest
 uncovered edge, trying each endpoint as a center with every k-subset of its
 uncovered incident edges that contains the branching edge.  A node budget
 bounds the work; exceeding it yields an explicit "budget_exceeded" status
-instead of an answer.  ``has_completion`` tries the polynomial construction
-first and searches only when it fails.
+instead of an answer.  ``decide`` is the one over-threshold decision that
+``has_completion`` and ``complete`` share: certificates and constructions
+first, the search last.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .designs import Graph, PartialDesign, Star
+from .extremal import blocked_edge
 from .precentral import VertexFunction, vertex_values
-from .realize import construct
+from .realize import Infeasible, construct, decompose_2stars
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "STARDECK_ORACLE_BUDGET"
@@ -152,18 +155,63 @@ def decompose_exhaustive(
     return OracleResult("none", None, nodes)
 
 
+def decide(
+    leftover: Graph, k: int, budget: int | None, max_n: int | None,
+    trace: list[str],
+) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
+    """Can the leftover graph be decomposed into k-stars?
+
+    Returns ``(outcome, stars, reason, certificate)``: "yes" with the stars,
+    "no" with a reason and certificate, or "unknown" with a reason.  Tries,
+    in order, a blocked edge, the 2-star pairing (k = 2, which decides),
+    :func:`construct`, and, unless the order exceeds ``max_n``, the
+    exhaustive search under ``budget``.  Each step taken is appended to
+    ``trace``.  The edge count must be a multiple of k.
+    """
+    cert = blocked_edge(leftover, k)
+    if cert is not None:
+        trace.append("certificate=blocked-edge")
+        return "no", None, "blocked-edge", cert.to_doc()
+    if k == 2:
+        pairing = decompose_2stars(leftover)
+        if isinstance(pairing, Infeasible):
+            # even edge count per component characterizes 2-star
+            # decomposability, so this is a certificate, not a give-up
+            trace.append("certificate=odd-component")
+            return "no", None, "odd-component", {
+                "odd_component": sorted(pairing.vertices)}
+        trace.append("construction=2star")
+        return "yes", pairing, None, None
+    built = construct(leftover, k)
+    if built is not None:
+        stars, repairs = built
+        if repairs:
+            trace.append(f"repair+{repairs}")
+        trace.append("construction=suitable")
+        return "yes", stars, None, None
+    trace.append("realize-infeasible")
+    if max_n is not None and leftover.n > max_n:
+        trace.append("oracle=out-of-reach")
+        return "unknown", None, "oracle-out-of-reach", None
+    oracle = decompose_exhaustive(leftover, k, budget=budget)
+    if oracle.status == "found":
+        trace.append("construction=oracle")
+        return "yes", oracle.stars, None, None
+    if oracle.status == "none":
+        trace.append("certificate=oracle")
+        return "no", None, "oracle", {"oracle_nodes": oracle.nodes}
+    trace.append("oracle=budget-exceeded")
+    return "unknown", None, "oracle-budget-exceeded", None
+
+
 def has_completion(design: PartialDesign, budget: int | None = None) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
-    "yes" comes from a decomposition of the leftover graph, built by
-    :func:`construct` when it succeeds and found by exhaustive search
-    otherwise.  "no" comes only from the edge count or the search, and
-    "unknown" only when the search runs out of its node budget.
+    "no" when k does not divide the leftover's edge count; otherwise the
+    answer of :func:`decide`, with no order limit on the search.  "unknown"
+    comes only when the search runs out of its node budget.
     """
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"
-    if construct(leftover, design.k) is not None:
-        return "yes"
-    result = decompose_exhaustive(leftover, design.k, budget=budget)
-    return {"found": "yes", "none": "no", "budget_exceeded": "unknown"}[result.status]
+    return decide(leftover, design.k, budget, None, [])[0]

@@ -4,7 +4,8 @@ Realisation is a feasibility problem: every edge must be handed to one of
 its two endpoints, and vertex x must end up holding exactly k*p(x) edges.
 An augmenting-path search settles it; when it fails, the set of vertices
 unreachable in the residual structure witnesses the failure with negative
-supply-demand balance.
+supply-demand balance.  For k = 2 the pairing of :func:`decompose_2stars`
+decides on its own, with an odd component as its witness.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, filterfalse
 
 from .designs import Graph, Star, _star
-from .precentral import VertexFunction, delta_t, suitable, vertex_values
+from .precentral import Precentral, VertexFunction, delta_t, suitable, vertex_values
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,54 @@ class Infeasible:
     vertices: frozenset[int]
 
 
-def _checked_values(graph: Graph, k: int, p: VertexFunction) -> tuple[int, ...]:
-    values = vertex_values(p, graph.n)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if any(v < 0 for v in values):
-        raise ValueError("precentral values must be nonnegative")
-    if sum(values) * k != graph.edge_count:
-        raise ValueError(
-            f"sum(p)*k = {sum(values) * k} != |E| = {graph.edge_count}"
-        )
-    return values
+def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
+    """Decompose a graph into 2-stars (paths of two edges), if possible.
+
+    Possible exactly when every connected component has an even number of
+    edges.  Construction: per component, root a spanning tree at the smallest
+    vertex and sweep vertices in reverse breadth-first order, pairing each
+    vertex's unused non-parent edges two at a time and borrowing the parent
+    edge when one is left over.
+    """
+    n = graph.n
+    # paired edges {a, b}, a < b, keyed by a * n + b
+    used: set[int] = set()
+    seen = [False] * n
+    stars: list[Star] = []
+    for root in range(n):
+        if seen[root] or not graph.neighbors(root):
+            continue
+        order = [root]
+        parent: dict[int, int | None] = {root: None}
+        seen[root] = True
+        qi = 0
+        while qi < len(order):
+            w = order[qi]
+            qi += 1
+            for y in graph.neighbors(w):
+                if not seen[y]:
+                    seen[y] = True
+                    parent[y] = w
+                    order.append(y)
+        comp_edge_count = sum(graph.degree(v) for v in order) // 2
+        if comp_edge_count % 2 != 0:
+            return Infeasible("odd-component", frozenset(order))
+        for v in reversed(order):
+            par = parent[v]
+            pending = [
+                y for y in graph.neighbors(v)
+                if y != par and (v * n + y if v < y else y * n + v) not in used
+            ]
+            if len(pending) % 2 == 1:
+                assert par is not None  # root parity is even by construction
+                pending.append(par)
+            for i in range(0, len(pending), 2):
+                y1, y2 = pending[i], pending[i + 1]
+                used.add(v * n + y1 if v < y1 else y1 * n + v)
+                used.add(v * n + y2 if v < y2 else y2 * n + v)
+                stars.append(Star(v, (y1, y2)))
+    assert len(used) == graph.edge_count
+    return stars
 
 
 def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
@@ -52,7 +90,7 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     (all supply-demand slack lives outside the reachable region, so the
     unreachable vertices have demand exceeding their incident edges).
     """
-    values = _checked_values(graph, k, p)
+    values = Precentral.of_graph(graph, k, vertex_values(p, graph.n)).values
     n = graph.n
     cap = [k * v for v in values]
     used = [0] * n
@@ -170,7 +208,7 @@ def subset_check(
     """
     if graph.n > max_n:
         raise ValueError(f"subset_check is exponential; n={graph.n} > {max_n}")
-    values = _checked_values(graph, k, p)
+    values = Precentral.of_graph(graph, k, vertex_values(p, graph.n)).values
     for size in range(1, graph.n):
         for subset in combinations(range(graph.n), size):
             if delta_t(graph, k, values, subset) < 0:
@@ -220,6 +258,7 @@ def verify_decomposition(
 __all__ = [
     "Infeasible",
     "construct",
+    "decompose_2stars",
     "realize",
     "subset_check",
     "verify_decomposition",

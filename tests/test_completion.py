@@ -20,6 +20,7 @@ from stardeck import (
     design_exists,
     design_from_doc,
     gen_uncompletable,
+    has_completion,
     is_admissible,
     pad_to_threshold,
     random_design,
@@ -725,19 +726,33 @@ def test_over_threshold_builds_one_leftover(design, monkeypatch):
     assert calls == [design]
 
 
-def test_over_threshold_odd_component():
-    # leftover is a triangle on 0..2 plus K_5 minus an edge on 3..7: no
-    # blocked edge, but the triangle component has odd edge count
+def _odd_component_design() -> PartialDesign:
+    """An n = 8, k = 2 design whose leftover is a triangle on 0..2 plus K_5
+    minus an edge on 3..7: no blocked edge, but the triangle component has
+    odd edge count."""
     triangle = {(0, 1), (0, 2), (1, 2)}
     near_k5 = set(combinations(range(3, 8), 2)) - {(3, 4)}
     covered = [e for e in combinations(range(8), 2) if e not in triangle | near_k5]
     stars = decompose_2stars(Graph.from_edges(8, covered))
-    d = PartialDesign(8, 2, tuple(stars))
+    return PartialDesign(8, 2, tuple(stars))
+
+
+def test_over_threshold_odd_component():
+    d = _odd_component_design()
     assert d.validate() == []
     r = complete(d)
     assert r.outcome == "impossible"
     assert r.reason == "odd-component"
     assert r.certificate == {"odd_component": [0, 1, 2]}
+
+
+def test_has_completion_decides_k2_by_pairing(monkeypatch):
+    # the even-component rule decides k = 2, so no search is needed
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched although k = 2 is decided by pairing")
+
+    monkeypatch.setattr("stardeck.oracle.decompose_exhaustive", no_search)
+    assert has_completion(_odd_component_design()) == "no"
 
 
 def test_over_threshold_oracle_refutation():
@@ -780,6 +795,10 @@ def test_over_threshold_differential_fuzz():
                 continue  # no room for that many stars; draw again
         r = complete(d, oracle_budget=1000)
         outcomes.add(r.outcome)
+        # n <= 12 = oracle_max_n, so both take the same decision
+        assert has_completion(d, budget=1000) == {
+            "completed": "yes", "impossible": "no", "unknown": "unknown"
+        }[r.outcome], d
         if r.outcome == "completed":
             given = set(d.stars)
             assert given <= set(r.design.stars)

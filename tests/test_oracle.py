@@ -17,6 +17,7 @@ from stardeck import (
     construct,
     decompose_exhaustive,
     default_budget,
+    design_from_doc,
     gen_uncompletable,
     has_completion,
     realize,
@@ -141,6 +142,17 @@ def test_has_completion_builds_before_searching(monkeypatch):
 
     monkeypatch.setattr("stardeck.oracle.decompose_exhaustive", no_search)
     assert has_completion(d, budget=1) == "yes"
+
+
+def test_has_completion_finds_blocked_edge_before_searching():
+    # edge {2, 4} is blocked: both ends have leftover degree 2 < k
+    d = design_from_doc({"k": 3, "n": 9, "stars": [
+        {"center": 2, "leaves": [1, 5, 8]},
+        {"center": 4, "leaves": [0, 3, 6]},
+        {"center": 4, "leaves": [1, 5, 8]},
+        {"center": 2, "leaves": [0, 3, 6]},
+    ]})
+    assert has_completion(d, budget=1000) == "no"
 
 
 def test_has_completion_unknown_on_tiny_budget():
