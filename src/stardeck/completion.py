@@ -96,37 +96,24 @@ def _pad(k: int, rows: list[tuple[int, ...]], stars: list[Star], target: int,
         return
     trace.append(f"pad+{target - len(stars)}")
     n = len(rows)
-    degree = list(map(len, rows))
-    # the added stars' edges {a, b}, a < b, keyed by a * n + b, and each
-    # vertex's partners along them
-    taken: set[int] = set()
+    # each vertex's partners along the added stars' edges, still in its row
     gone: dict[int, list[int]] = {}
-    # rows[v][:start[v]] are all taken, since v takes its smallest free partners
-    start = [0] * n
     center = 0
     while len(stars) < target:
-        # degrees never rise, so the smallest vertex with room never falls
-        while center < n and degree[center] < k:
+        # free degrees never rise, so the smallest vertex with room never falls
+        while center < n and len(rows[center]) - len(gone.get(center, ())) < k:
             center += 1
         if center == n:
             raise CompletionDefect(
                 f"padding stuck at {len(stars)} of {target} stars (n={n}, k={k})"
             )
-        row, i = rows[center], start[center]
-        leaves: list[int] = []
-        while len(leaves) < k:
-            leaf = row[i]
-            i += 1
-            if (center * n + leaf if center < leaf else leaf * n + center) not in taken:
-                leaves.append(leaf)
-        start[center] = i
+        # the pointer never returns, so the center's row is trimmed here;
+        # edges that later centers take from it leave its row at the end
+        row = _without(rows[center], gone.pop(center, ()))
+        leaves, rows[center] = row[:k], row[k:]
         for leaf in leaves:
-            taken.add(center * n + leaf if center < leaf else leaf * n + center)
-            degree[leaf] -= 1
             gone.setdefault(leaf, []).append(center)
-        degree[center] -= k
-        gone.setdefault(center, []).extend(leaves)
-        stars.append(_star(center, tuple(leaves)))
+        stars.append(_star(center, leaves))
     for v, partners in gone.items():
         rows[v] = _without(rows[v], partners)
 
@@ -376,29 +363,28 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
     del leftover  # so the rows that padding replaces are freed
     _pad(k, rows, stars, threshold_u(n, k), trace)
     x = _reduction_vertex(n, stars) if n % k == 1 else None
-    if x is None:
-        built = _construction(k, stars, rows, None, trace)
-        del rows  # free the O(n^2) leftover before the full star list is built
-        return [*stars, *built]
-
-    # x's free edges, in k-sized ascending blocks, become its own stars.  That
-    # isolates x, and the rest of the leftover is the leftover of the order
-    # n - 1 design of the other stars.  That order is 0 mod k, so the
-    # design is not reducible again.
-    trace.append(f"reduce@{x}")
-    own = [s for s in stars if s.center == x]
-    stars = [s for s in stars if s.center != x]
-    free = rows[x]
-    assert len(free) % k == 0
-    own.extend(_star(x, free[i:i + k]) for i in range(0, len(free), k))
-    rows[x] = ()
-    for v in free:
-        rows[v] = _without(rows[v], (x,))
-    steps: list[str] = []
-    _pad(k, rows, stars, threshold_u(n - 1, k), steps)
+    own: list[Star] = []
+    steps = trace
+    if x is not None:
+        # x's free edges, in k-sized ascending blocks, become its own stars.
+        # That isolates x, and the rest of the leftover is the leftover of
+        # the order n - 1 design of the other stars.  That order is 0 mod k,
+        # so the design is not reducible again.
+        trace.append(f"reduce@{x}")
+        own = [s for s in stars if s.center == x]
+        stars = [s for s in stars if s.center != x]
+        free = rows[x]
+        assert len(free) % k == 0
+        own.extend(_star(x, free[i:i + k]) for i in range(0, len(free), k))
+        rows[x] = ()
+        for v in free:
+            rows[v] = _without(rows[v], (x,))
+        steps = []
+        _pad(k, rows, stars, threshold_u(n - 1, k), steps)
     built = _construction(k, stars, rows, x, steps)
-    trace.append("recurse{" + ";".join(steps) + "}")
-    del rows  # as above
+    del rows  # free the O(n^2) leftover before the full star list is built
+    if x is not None:
+        trace.append("recurse{" + ";".join(steps) + "}")
     return [*stars, *built, *own]
 
 

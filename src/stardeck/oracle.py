@@ -156,7 +156,7 @@ def decompose_exhaustive(
 
 
 def decide(
-    leftover: Graph, k: int, budget: int | None, max_n: int | None,
+    leftover: Graph, k: int, budget: int, max_n: int | None,
     trace: list[str],
 ) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
     """Can the leftover graph be decomposed into k-stars?
@@ -209,8 +209,11 @@ def has_completion(design: PartialDesign, budget: int | None = None) -> str:
 
     "no" when k does not divide the leftover's edge count; otherwise the
     answer of :func:`decide`, with no order limit on the search.  "unknown"
-    comes only when the search runs out of its node budget.
+    comes only when the search runs out of its node budget.  Without a
+    ``budget`` the :func:`default_budget` is read first, so a malformed
+    STARDECK_ORACLE_BUDGET raises even when no search runs.
     """
+    budget = default_budget() if budget is None else budget
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"

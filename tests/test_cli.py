@@ -267,6 +267,13 @@ def test_bad_budget_variable_fails_only_where_a_budget_is_needed(
     )
     assert main(["complete", one_star_file, "--budget", "5"]) == 0
     capsys.readouterr()
+    # oracle needs no search here, yet rejects the variable all the same
+    assert main(["oracle", one_star_file]) == 2
+    assert capsys.readouterr() == (
+        "", "STARDECK_ORACLE_BUDGET must be an integer, got 'x'\n"
+    )
+    assert main(["oracle", one_star_file, "--budget", "5"]) == 0
+    assert capsys.readouterr() == ("yes\n", "")
 
 
 def test_budget_flag_below_one_is_input_error(capsys, one_star_file):

@@ -139,6 +139,9 @@ def test_pad_matches_the_neighbor_set_greedy():
         got = pad_to_threshold(d)
         assert got == _pad_with_neighbor_sets(d)
         assert got.validate() == []
+        rows = [*d.leftover().rows]
+        completion._pad(k, rows, [*d.stars], threshold_u(n, k), [])
+        assert tuple(rows) == got.leftover().rows
         padded += len(got.stars) > len(d.stars)
     assert padded > 300
 
