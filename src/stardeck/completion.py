@@ -13,9 +13,8 @@ unknown.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .designs import (
     Graph,
@@ -37,8 +36,7 @@ class CompletionDefect(RuntimeError):
     property of the input."""
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     """Outcome of :func:`complete`.
 
     ``outcome`` is "completed", "impossible", or "unknown".  For impossible
@@ -51,7 +49,7 @@ class CompletionResult:
     design: PartialDesign | None = None
     reason: str | None = None
     certificate: dict | None = None
-    trace: tuple[str, ...] = field(default_factory=tuple)
+    trace: tuple[str, ...] = ()
 
     def to_doc(self) -> dict:
         doc: dict = {"outcome": self.outcome, "trace": list(self.trace)}

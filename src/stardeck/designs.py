@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import itemgetter
 from random import Random
 from typing import Iterable, Sequence
@@ -51,13 +50,53 @@ def _star(center: int, leaves: tuple[int, ...]) -> Star:
     return tuple.__new__(Star, (center, leaves))
 
 
-@dataclass(frozen=True, init=False)
-class Graph:
+class _Record:
+    """An immutable record on ``__slots__``: its fields are the slots, in
+    order, and it compares, hashes, prints and pickles by them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return _rebuild, (self.__class__, self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _rebuild(cls: type, values: tuple) -> _Record:
+    """The record of class cls with the given field values, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class Graph(_Record):
     """Immutable simple graph on vertices 0..n-1, stored as adjacency rows.
 
     ``rows[v]`` holds v's neighbors in ascending order.
     """
 
+    __slots__ = ("n", "rows")
+    __match_args__ = __slots__
     n: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -82,10 +121,7 @@ class Graph:
     @classmethod
     def _of_rows(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
         """A graph on rows the caller built symmetric and ascending; no check."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "rows", rows)
-        return graph
+        return _rebuild(cls, (n, rows))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -153,16 +189,19 @@ def threshold_u(n: int, k: int) -> int:
     return 2 * ((n - 2) // k) - 1
 
 
-@dataclass(frozen=True)
-class PartialDesign:
+class PartialDesign(_Record):
     """A partial k-star design: order ``n``, star size ``k``, star list."""
 
+    __slots__ = ("n", "k", "stars")
+    __match_args__ = __slots__
     n: int
     k: int
-    stars: tuple[Star, ...] = field(default_factory=tuple)
+    stars: tuple[Star, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "stars", tuple(self.stars))
+    def __init__(self, n: int, k: int, stars: Iterable[Star] = ()) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "stars", tuple(stars))
 
     def validate(self) -> list[str]:
         """All rule violations, empty when the design is valid."""

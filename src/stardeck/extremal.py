@@ -9,13 +9,12 @@ is uncompletable, witnessing that the threshold u(n, k) is sharp.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .designs import Graph, PartialDesign, Star, _star, is_admissible, threshold_u
 
 
-@dataclass(frozen=True)
-class BlockedEdgeCertificate:
+class BlockedEdgeCertificate(NamedTuple):
     """An uncovered edge whose endpoints both have leftover degree in [1, k-1].
 
     Any star covering the edge would need k uncovered edges at one endpoint,

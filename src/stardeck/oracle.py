@@ -12,9 +12,8 @@ first, the search last.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .designs import Graph, PartialDesign, Star
 from .extremal import blocked_edge
@@ -46,8 +45,7 @@ def check_budget(source: str, value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Search outcome: status is "found", "none", or "budget_exceeded"."""
 
     status: str

@@ -11,15 +11,15 @@ fixed denominator 2k.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .designs import Graph
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Precentral:
+
+class Precentral(NamedTuple):
     """A checked k-precentral function with its graph's degree context."""
 
     k: int
@@ -47,12 +47,16 @@ class Precentral:
 
     def pstar(self, x: int) -> Fraction:
         """Exact residue p(x) - deg(x)/(2k)."""
+        from fractions import Fraction  # here, not at the top: only residues use it
+
         return Fraction(2 * self.k * self.values[x] - self.degrees[x], 2 * self.k)
 
     def pstar_all(self) -> tuple[Fraction, ...]:
         return tuple(self.pstar(x) for x in range(self.n))
 
     def pstar_sum(self, subset: Iterable[int]) -> Fraction:
+        from fractions import Fraction
+
         return sum((self.pstar(x) for x in subset), Fraction(0))
 
 

@@ -11,15 +11,14 @@ decides on its own, with an odd component as its witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations, filterfalse
+from typing import NamedTuple
 
 from .designs import Graph, Star, _star
 from .precentral import Precentral, VertexFunction, delta_t, suitable, vertex_values
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(NamedTuple):
     """Certificate value for a failed construction.
 
     ``kind`` is "cut" for a vertex subset with negative supply-demand

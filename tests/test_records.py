@@ -1,10 +1,16 @@
 """The contract of stardeck's seven records: text, equality, hashing,
-immutability, copying and constructor defaults."""
+immutability, copying and constructor defaults; and what importing the
+package loads."""
 
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +120,21 @@ def test_record_constructor_defaults():
     )
     assert Graph(3, [(0, 1), (1, 0)]) == Graph.from_edges(3, [(0, 1)])
 
+
+def test_import_loads_no_dataclasses_inspect_or_fractions():
+    """``import stardeck`` and ``import stardeck.cli`` keep the standard
+    library's heavy modules out of a cold start."""
+    heavy = ("dataclasses", "inspect", "fractions", "decimal")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import stardeck, stardeck.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert type(Precentral(2, (1, 0), (1, 1)).pstar(0)) is Fraction
