@@ -34,7 +34,6 @@ from .precentral import (
     BadEdge,
     BadVertex,
     Precentral,
-    delta_t,
     find_bad,
     minimal,
     suitable,
@@ -44,8 +43,6 @@ from .realize import (
     construct,
     decompose_2stars,
     realize,
-    subset_check,
-    verify_decomposition,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +67,6 @@ __all__ = [
     "decompose_2stars",
     "decompose_exhaustive",
     "default_budget",
-    "delta_t",
     "design_exists",
     "design_from_doc",
     "design_to_doc",
@@ -86,8 +82,6 @@ __all__ = [
     "realize",
     "reduce_design",
     "small_order_precentral",
-    "subset_check",
     "suitable",
     "threshold_u",
-    "verify_decomposition",
 ]

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success, 1 for a certified or negative answer (including
 "unknown" where only an out-of-reach exhaustive search could decide), 2 for
-input errors (bad arguments, unparseable files, invalid designs).
+input errors (bad arguments, unparseable files, invalid designs, designs too
+large for the memory at hand).
 """
 
 from __future__ import annotations
@@ -258,6 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         # input errors: an unreadable or invalid design document, arguments
         # out of range, or a bad --budget or STARDECK_ORACLE_BUDGET
         _err(str(exc))
+        return 2
+    except MemoryError:
+        # an order too large for this machine is an input error too
+        _err("out of memory: the design is too large for this machine")
         return 2
 
 

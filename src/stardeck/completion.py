@@ -194,7 +194,7 @@ def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
     assert 0 <= boosted <= n - len(centers)
     rest = sorted(
         (v for v in vertices if central[v] == 0),
-        key=lambda v: (-leftover.degree(v), v),
+        key=lambda v: (-len(leftover.rows[v]), v),
     )
     values = [0] * leftover.n
     for v in vertices:

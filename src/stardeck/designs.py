@@ -9,12 +9,9 @@ when the stars cover every edge of the complete graph K_n.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from operator import itemgetter
 from random import Random
 from typing import Iterable, Sequence
-
-CentralFunction = tuple[int, ...]
 
 
 class Star(tuple):
@@ -39,9 +36,6 @@ class Star(tuple):
 
     def __repr__(self) -> str:
         return f"Star(center={self[0]!r}, leaves={self[1]!r})"
-
-    def sorted_leaves(self) -> list[int]:
-        return list(self[1])
 
 
 def _star(center: int, leaves: tuple[int, ...]) -> Star:
@@ -136,27 +130,9 @@ class Graph(_Record):
     def edge_count(self) -> int:
         return sum(map(len, self.rows)) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in ascending order."""
-        return self.rows[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.rows[v])
-
     def degrees(self) -> tuple[int, ...]:
         # through a list, so the tuple is allocated at its exact size
         return tuple([*map(len, self.rows)])
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return 0 <= a < self.n and b in self.rows[a]
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        """The edges in ascending order, as a list the caller may keep."""
-        return [
-            (a, b)
-            for a, row in enumerate(self.rows)
-            for b in row[bisect_right(row, a):]
-        ]
 
 
 def is_admissible(n: int, k: int) -> bool:
@@ -266,14 +242,6 @@ class PartialDesign(_Record):
             rows.append(tuple(row))
         return Graph._of_rows(self.n, tuple(rows))
 
-    def central_function(self) -> CentralFunction:
-        """How many stars each vertex centers.  Pure counting; no validity check."""
-        counts = [0] * self.n
-        for star in self.stars:
-            if 0 <= star.center < self.n:
-                counts[star.center] += 1
-        return tuple(counts)
-
     def is_reducible(self) -> bool:
         """True iff the design admits the one-vertex reduction step.
 
@@ -285,11 +253,7 @@ class PartialDesign(_Record):
             return False
         if self.n < 2 or len(self.stars) != threshold_u(self.n, self.k):
             return False
-        return self.reduction_vertex() is not None
-
-    def reduction_vertex(self) -> int | None:
-        """Smallest vertex centering a star and appearing as a leaf of none."""
-        return _reduction_vertex(self.n, self.stars)
+        return _reduction_vertex(self.n, self.stars) is not None
 
 
 def _reduction_vertex(n: int, stars: Sequence[Star]) -> int | None:
@@ -335,7 +299,7 @@ def design_to_doc(design: PartialDesign) -> dict:
         "n": design.n,
         "k": design.k,
         "stars": [
-            {"center": star.center, "leaves": star.sorted_leaves()}
+            {"center": star.center, "leaves": list(star.leaves)}
             for star in design.stars
         ],
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .designs import Graph, PartialDesign, Star
 from .extremal import blocked_edge
@@ -53,10 +53,6 @@ class OracleResult(NamedTuple):
     nodes: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def decompose_exhaustive(
     graph: Graph,
     k: int,
@@ -83,10 +79,9 @@ def decompose_exhaustive(
         pins = vertex_values(pinned, n)
         if any(v < 0 for v in pins) or sum(pins) * k != m:
             return OracleResult("none", None, 0)
-    adj: list[set[int]] = [set(graph.neighbors(v)) for v in range(n)]
+    adj: list[set[int]] = [set(row) for row in graph.rows]
     counts = [0] * n
     stars: list[Star] = []
-    nodes = 0
 
     def blocked(x: int) -> bool:
         # an uncovered edge both of whose endpoints now have uncovered
@@ -98,14 +93,10 @@ def decompose_exhaustive(
                     return True
         return False
 
-    def search() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExceeded
-        lo = next((x for x in range(n) if adj[x]), None)
-        if lo is None:
-            return True
+    def placements(lo: int) -> Iterator[bool]:
+        # the children of a node whose smallest uncovered edge is {lo, hi}:
+        # each yield leaves one more star placed, and the next step takes it
+        # back before it tries the next one
         hi = min(adj[lo])
         for center, other in ((lo, hi), (hi, lo)):
             if pins is not None and counts[center] >= pins[center]:
@@ -130,27 +121,29 @@ def decompose_exhaustive(
                     ok = not any(blocked(x) for x in touched)
                 if ok:
                     stars.append(Star(center, leaves))
-                    if search():
-                        return True
+                    yield True
                     stars.pop()
                 counts[center] -= 1
                 for y in leaves:
                     adj[center].add(y)
                     adj[y].add(center)
-        return False
 
-    try:
-        found = search()
-    except _BudgetExceeded:
-        return OracleResult("budget_exceeded", None, nodes)
-    finally:
-        # search refers to itself; unbinding it breaks that cycle, so the
-        # closure and the search state it holds are freed without the
-        # cyclic collector
-        del search
-    if found:
-        return OracleResult("found", tuple(stars), nodes)
-    return OracleResult("none", None, nodes)
+    # the open nodes on the path from the root, deepest last
+    stack: list[Iterator[bool]] = []
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return OracleResult("budget_exceeded", None, nodes)
+        lo = next((x for x in range(n) if adj[x]), None)
+        if lo is None:
+            return OracleResult("found", tuple(stars), nodes)
+        stack.append(placements(lo))
+        # backtrack past the nodes that have no further child
+        while not next(stack[-1], False):
+            stack.pop()
+            if not stack:
+                return OracleResult("none", None, nodes)
 
 
 def decide(

@@ -11,7 +11,7 @@ fixed denominator 2k.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .designs import Graph
 
@@ -53,11 +53,6 @@ class Precentral(NamedTuple):
 
     def pstar_all(self) -> tuple[Fraction, ...]:
         return tuple(self.pstar(x) for x in range(self.n))
-
-    def pstar_sum(self, subset: Iterable[int]) -> Fraction:
-        from fractions import Fraction
-
-        return sum((self.pstar(x) for x in subset), Fraction(0))
 
 
 VertexFunction = Union[Precentral, Sequence[int]]
@@ -125,7 +120,7 @@ def find_bad(p: VertexFunction, graph: Graph, k: int) -> BadVertex | BadEdge | N
     # value-0 high end among its ascending neighbors
     for a in range(graph.n):
         if values[a] == 0:
-            row = graph.neighbors(a)
+            row = graph.rows[a]
             for b in row[bisect_right(row, a):]:
                 if values[b] == 0:
                     return BadEdge(a, b)
@@ -165,23 +160,3 @@ def suitable(graph: Graph, k: int) -> Precentral:
         values[donor] -= 1
     return Precentral.of_graph(graph, k, values)
 
-
-def delta_t(graph: Graph, k: int, p: VertexFunction, subset: Iterable[int]) -> int:
-    """Edge supply minus star demand for a vertex subset.
-
-    Supply is the number of edges with at least one endpoint in the subset;
-    demand is k times the subset's total p-value.  A negative value certifies
-    that p is not realisable.
-    """
-    t = frozenset(subset)
-    if not t:
-        raise ValueError("subset must be nonempty")
-    if not all(0 <= x < graph.n for x in t):
-        raise ValueError("subset contains out-of-range vertices")
-    if len(t) == graph.n:
-        raise ValueError("subset must be a proper subset of the vertices")
-    values = vertex_values(p, graph.n)
-    # an edge with both ends in t is counted from its lower end only
-    supply = sum(1 for x in t for y in graph.rows[x] if x < y or y not in t)
-    demand = k * sum(values[x] for x in t)
-    return supply - demand

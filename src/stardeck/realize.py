@@ -11,11 +11,11 @@ decides on its own, with an odd component as its witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import combinations, filterfalse
+from itertools import filterfalse
 from typing import NamedTuple
 
 from .designs import Graph, Star, _star
-from .precentral import Precentral, VertexFunction, delta_t, suitable, vertex_values
+from .precentral import Precentral, VertexFunction, suitable, vertex_values
 
 
 class Infeasible(NamedTuple):
@@ -45,7 +45,7 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
     seen = [False] * n
     stars: list[Star] = []
     for root in range(n):
-        if seen[root] or not graph.neighbors(root):
+        if seen[root] or not graph.rows[root]:
             continue
         order = [root]
         parent: dict[int, int | None] = {root: None}
@@ -54,18 +54,18 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
         while qi < len(order):
             w = order[qi]
             qi += 1
-            for y in graph.neighbors(w):
+            for y in graph.rows[w]:
                 if not seen[y]:
                     seen[y] = True
                     parent[y] = w
                     order.append(y)
-        comp_edge_count = sum(graph.degree(v) for v in order) // 2
+        comp_edge_count = sum(len(graph.rows[v]) for v in order) // 2
         if comp_edge_count % 2 != 0:
             return Infeasible("odd-component", frozenset(order))
         for v in reversed(order):
             par = parent[v]
             pending = [
-                y for y in graph.neighbors(v)
+                y for y in graph.rows[v]
                 if y != par and (v * n + y if v < y else y * n + v) not in used
             ]
             if len(pending) % 2 == 1:
@@ -196,69 +196,9 @@ def construct(graph: Graph, k: int) -> tuple[list[Star], int] | None:
         tried.add(key)
 
 
-def subset_check(
-    graph: Graph, k: int, p: VertexFunction, max_n: int = 20
-) -> tuple[int, ...] | None:
-    """Exhaustive supply-demand audit over all nonempty proper vertex subsets.
-
-    Returns the first subset (smallest size, then lexicographic) whose demand
-    exceeds its incident edge supply, or None when every subset passes; the
-    latter is equivalent to p being realisable.  Guarded to small orders.
-    """
-    if graph.n > max_n:
-        raise ValueError(f"subset_check is exponential; n={graph.n} > {max_n}")
-    values = Precentral.of_graph(graph, k, vertex_values(p, graph.n)).values
-    for size in range(1, graph.n):
-        for subset in combinations(range(graph.n), size):
-            if delta_t(graph, k, values, subset) < 0:
-                return subset
-    return None
-
-
-def verify_decomposition(
-    graph: Graph,
-    k: int,
-    stars: list[Star] | tuple[Star, ...],
-    p: VertexFunction | None = None,
-) -> bool:
-    """True iff the stars exactly partition the graph's edges into k-stars.
-
-    When p is given, also requires the center counts to match it.
-    Never raises on malformed stars; they simply fail the check.
-    """
-    # each vertex's edges not yet covered by a star
-    uncovered = [set(row) for row in graph.rows]
-    counts = [0] * graph.n
-    for center, leaves in stars:
-        if not (0 <= center < graph.n):
-            return False
-        if len(leaves) != k or len(set(leaves)) != k or center in leaves:
-            return False
-        if not all(0 <= leaf < graph.n for leaf in leaves):
-            return False
-        row = uncovered[center]
-        if not row.issuperset(leaves):
-            return False
-        row.difference_update(leaves)
-        for leaf in leaves:
-            uncovered[leaf].remove(center)
-        counts[center] += 1
-    if any(uncovered):
-        return False
-    if p is not None:
-        try:
-            if tuple(counts) != vertex_values(p, graph.n):
-                return False
-        except ValueError:
-            return False
-    return True
-
-
 __all__ = [
     "Infeasible",
     "construct",
     "decompose_2stars",
     "realize",
-    "subset_check",
-    "verify_decomposition",
 ]

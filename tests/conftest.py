@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from itertools import combinations
+from typing import Iterable
 
 from hypothesis import strategies as st
 
-from stardeck import Graph, PartialDesign, random_design, threshold_u
+from stardeck import Graph, PartialDesign, Precentral, Star, random_design, threshold_u
+from stardeck.precentral import VertexFunction, vertex_values
 
 
 @st.composite
@@ -25,7 +28,7 @@ def graphs_divisible(draw: st.DrawFn, k: int, min_n: int = 1, max_n: int = 10) -
     g = draw(graphs(min_n=min_n, max_n=max_n))
     extra = g.edge_count % k
     if extra:
-        kept = g.sorted_edges()[:-extra]
+        kept = sorted_edges(g)[:-extra]
         g = Graph.from_edges(g.n, kept)
     return g
 
@@ -48,3 +51,93 @@ def seeded_design_at_most_u(n: int, k: int, seed: int) -> PartialDesign:
     rng = random.Random(seed)
     m = rng.randint(0, max(threshold_u(n, k), 0))
     return random_design(n, k, m, rng)
+
+
+# --- reference checkers: independent of the constructions they check --------
+
+def sorted_edges(graph: Graph) -> list[tuple[int, int]]:
+    """The edges in ascending order, as a list the caller may keep."""
+    return [
+        (a, b)
+        for a, row in enumerate(graph.rows)
+        for b in row[bisect_right(row, a):]
+    ]
+
+
+def delta_t(graph: Graph, k: int, p: VertexFunction, subset: Iterable[int]) -> int:
+    """Edge supply minus star demand for a vertex subset.
+
+    Supply is the number of edges with at least one endpoint in the subset;
+    demand is k times the subset's total p-value.  A negative value certifies
+    that p is not realisable.
+    """
+    t = frozenset(subset)
+    if not t:
+        raise ValueError("subset must be nonempty")
+    if not all(0 <= x < graph.n for x in t):
+        raise ValueError("subset contains out-of-range vertices")
+    if len(t) == graph.n:
+        raise ValueError("subset must be a proper subset of the vertices")
+    values = vertex_values(p, graph.n)
+    # an edge with both ends in t is counted from its lower end only
+    supply = sum(1 for x in t for y in graph.rows[x] if x < y or y not in t)
+    demand = k * sum(values[x] for x in t)
+    return supply - demand
+
+
+def subset_check(
+    graph: Graph, k: int, p: VertexFunction, max_n: int = 20
+) -> tuple[int, ...] | None:
+    """Exhaustive supply-demand audit over all nonempty proper vertex subsets.
+
+    Returns the first subset (smallest size, then lexicographic) whose demand
+    exceeds its incident edge supply, or None when every subset passes; the
+    latter is equivalent to p being realisable.  Guarded to small orders.
+    """
+    if graph.n > max_n:
+        raise ValueError(f"subset_check is exponential; n={graph.n} > {max_n}")
+    values = Precentral.of_graph(graph, k, vertex_values(p, graph.n)).values
+    for size in range(1, graph.n):
+        for subset in combinations(range(graph.n), size):
+            if delta_t(graph, k, values, subset) < 0:
+                return subset
+    return None
+
+
+def verify_decomposition(
+    graph: Graph,
+    k: int,
+    stars: list[Star] | tuple[Star, ...],
+    p: VertexFunction | None = None,
+) -> bool:
+    """True iff the stars exactly partition the graph's edges into k-stars.
+
+    When p is given, also requires the center counts to match it.
+    Never raises on malformed stars; they simply fail the check.
+    """
+    # each vertex's edges not yet covered by a star
+    uncovered = [set(row) for row in graph.rows]
+    counts = [0] * graph.n
+    for center, leaves in stars:
+        if not (0 <= center < graph.n):
+            return False
+        if len(leaves) != k or len(set(leaves)) != k or center in leaves:
+            return False
+        if not all(0 <= leaf < graph.n for leaf in leaves):
+            return False
+        row = uncovered[center]
+        if not row.issuperset(leaves):
+            return False
+        row.difference_update(leaves)
+        for leaf in leaves:
+            uncovered[leaf].remove(center)
+        counts[center] += 1
+    if any(uncovered):
+        return False
+    if p is not None:
+        try:
+            if tuple(counts) != vertex_values(p, graph.n):
+                return False
+        except ValueError:
+            return False
+    return True

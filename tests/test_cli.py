@@ -310,6 +310,22 @@ def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
         assert err.startswith(f"cannot read {path}: ")
 
 
+@pytest.mark.parametrize("command, step", [
+    ("complete", "complete"), ("oracle", "has_completion"), ("precentral", "minimal"),
+])
+def test_out_of_memory_is_one_line_input_error(
+    capsys, monkeypatch, one_star_file, command, step
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"stardeck.cli.{step}", exhausted)
+    assert main([command, one_star_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "out of memory: the design is too large for this machine\n"
+
+
 # ------------------------------------------------------------------- top level
 
 

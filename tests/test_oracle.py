@@ -22,10 +22,9 @@ from stardeck import (
     has_completion,
     realize,
     threshold_u,
-    verify_decomposition,
 )
 
-from conftest import seeded_design
+from conftest import seeded_design, verify_decomposition
 
 
 def test_complete_graph_is_decomposable():
@@ -33,6 +32,15 @@ def test_complete_graph_is_decomposable():
     assert res.status == "found"
     assert len(res.stars) == 5
     assert verify_decomposition(Graph.complete(6), 3, res.stars)
+
+
+def test_search_depth_is_not_bounded_by_the_call_stack():
+    # 1,080 stars deep; a search that nested one call per star overflowed
+    g = Graph.complete(81)
+    res = decompose_exhaustive(g, 3)
+    assert (res.status, res.nodes) == ("found", 1081)
+    assert len(res.stars) == 1080
+    assert verify_decomposition(g, 3, res.stars)
 
 
 def test_triangle_has_no_2star_decomposition():

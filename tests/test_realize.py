@@ -16,19 +16,23 @@ from stardeck import (
     Star,
     construct,
     decompose_exhaustive,
-    delta_t,
     is_admissible,
     minimal,
     random_design,
     realize,
-    subset_check,
     suitable,
     threshold_u,
-    verify_decomposition,
 )
 from stardeck.precentral import vertex_values
 
-from conftest import graphs_divisible, seeded_design
+from conftest import (
+    delta_t,
+    graphs_divisible,
+    seeded_design,
+    sorted_edges,
+    subset_check,
+    verify_decomposition,
+)
 
 
 def _random_instance(rng: random.Random) -> tuple[Graph, int, list[int]]:
@@ -197,7 +201,7 @@ def _realize_reference(graph: Graph, k: int, p) -> list[Star] | Infeasible:
     """
     values = vertex_values(p, graph.n)
     n = graph.n
-    edges = graph.sorted_edges()
+    edges = sorted_edges(graph)
     cap = [k * v for v in values]
     used = [0] * n
     holder: list[list[int]] = [[] for _ in range(n)]
@@ -290,7 +294,7 @@ def test_realize_matches_edge_index_reference(instance):
 def _flow_feasible(nx, graph: Graph, k: int, values: list[int]) -> bool:
     """True iff a max flow hands every edge to an endpoint x, at most k*p(x) each."""
     net = nx.DiGraph()
-    for a, b in graph.sorted_edges():
+    for a, b in sorted_edges(graph):
         net.add_edge("s", (a, b), capacity=1)
         net.add_edge((a, b), a, capacity=1)
         net.add_edge((a, b), b, capacity=1)
