@@ -27,7 +27,6 @@ from .oracle import (
     DEFAULT_BUDGET,
     OracleResult,
     decompose_exhaustive,
-    default_budget,
     has_completion,
 )
 from .precentral import (
@@ -66,7 +65,6 @@ __all__ = [
     "construct",
     "decompose_2stars",
     "decompose_exhaustive",
-    "default_budget",
     "design_exists",
     "design_from_doc",
     "design_to_doc",

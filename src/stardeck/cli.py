@@ -25,7 +25,7 @@ from .designs import (
     threshold_u,
 )
 from .extremal import check_blocked_edge, gen_uncompletable
-from .oracle import check_budget, has_completion
+from .oracle import DEFAULT_BUDGET, has_completion
 from .precentral import BadEdge, BadVertex, find_bad, minimal, suitable
 
 
@@ -42,8 +42,10 @@ def _load_design(path: str) -> PartialDesign:
     return loads_design(text)
 
 
-def _budget(args: argparse.Namespace) -> int | None:
-    return None if args.budget is None else check_budget("--budget", args.budget)
+def _budget(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be positive, got {args.budget}")
+    return args.budget
 
 
 def _yesno(flag: bool) -> str:
@@ -192,6 +194,9 @@ def cmd_precentral(args: argparse.Namespace) -> int:
     return 0
 
 
+_BUDGET_HELP = f"search node budget (default: {DEFAULT_BUDGET:,})"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stardeck",
@@ -208,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a design document")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("verify", help="validate a design document")
@@ -235,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "then search",
     )
     p.add_argument("file")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("precentral", help="minimal/suitable precentral report")
@@ -256,12 +261,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # input errors: an unreadable or invalid design document, arguments
-        # out of range, or a bad --budget or STARDECK_ORACLE_BUDGET
+        # input errors: an unreadable or invalid design document, or
+        # arguments out of range, --budget among them
         _err(str(exc))
         return 2
-    except MemoryError:
-        # an order too large for this machine is an input error too
+    except (MemoryError, OverflowError):
+        # an order too large for this machine is an input error too, whether
+        # its tables exhaust memory or its size does not fit in a C index
         _err("out of memory: the design is too large for this machine")
         return 2
 

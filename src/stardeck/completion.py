@@ -26,7 +26,7 @@ from .designs import (
     is_admissible,
     threshold_u,
 )
-from .oracle import decide, default_budget
+from .oracle import DEFAULT_BUDGET, decide
 from .precentral import Precentral, find_bad, minimal, suitable
 from .realize import Infeasible, decompose_2stars, realize
 
@@ -304,7 +304,7 @@ def _check_degree_facts(leftover: Graph, k: int, vertices: Iterable[int]) -> Non
 def complete(
     design: PartialDesign,
     *,
-    oracle_budget: int | None = None,
+    oracle_budget: int = DEFAULT_BUDGET,
     oracle_max_n: int = 12,
 ) -> CompletionResult:
     """Complete the design to a full k-star design, or certify why not.
@@ -316,7 +316,6 @@ def complete(
     could decide and the order or node budget rules it out.
     """
     n, k = design.n, design.k
-    budget = default_budget() if oracle_budget is None else oracle_budget
     trace: list[str] = ["validated"]
     if k < 2 or n < 2 * k or not is_admissible(n, k):
         design._require_valid()
@@ -336,7 +335,7 @@ def complete(
     # over the threshold: admissibility makes k divide the leftover's edges
     trace.append("over-threshold-attempt")
     outcome, stars, reason, certificate = decide(
-        design.leftover(), k, budget, oracle_max_n, trace
+        design.leftover(), k, oracle_budget, oracle_max_n, trace
     )
     if outcome == "yes":
         return _merged(n, k, [*design.stars, *stars], trace)

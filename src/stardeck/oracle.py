@@ -11,7 +11,6 @@ first, the search last.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -21,28 +20,6 @@ from .precentral import VertexFunction, vertex_values
 from .realize import Infeasible, construct, decompose_2stars
 
 DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "STARDECK_ORACLE_BUDGET"
-
-
-def default_budget() -> int:
-    """The node budget, overridable via the STARDECK_ORACLE_BUDGET env var."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
-    return check_budget(BUDGET_ENV_VAR, value)
-
-
-def check_budget(source: str, value: int) -> int:
-    """Return a node budget, or raise ValueError naming its source if below 1."""
-    if value < 1:
-        raise ValueError(f"{source} must be positive, got {value}")
-    return value
 
 
 class OracleResult(NamedTuple):
@@ -57,7 +34,7 @@ def decompose_exhaustive(
     graph: Graph,
     k: int,
     pinned: VertexFunction | None = None,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Exhaustive k-star decomposition search, optionally with pinned centers.
 
@@ -68,8 +45,6 @@ def decompose_exhaustive(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if budget is None:
-        budget = default_budget()
     n = graph.n
     m = graph.edge_count
     if m % k != 0:
@@ -195,16 +170,13 @@ def decide(
     return "unknown", None, "oracle-budget-exceeded", None
 
 
-def has_completion(design: PartialDesign, budget: int | None = None) -> str:
+def has_completion(design: PartialDesign, budget: int = DEFAULT_BUDGET) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
     "no" when k does not divide the leftover's edge count; otherwise the
     answer of :func:`decide`, with no order limit on the search.  "unknown"
-    comes only when the search runs out of its node budget.  Without a
-    ``budget`` the :func:`default_budget` is read first, so a malformed
-    STARDECK_ORACLE_BUDGET raises even when no search runs.
+    comes only when the search runs out of its node budget.
     """
-    budget = default_budget() if budget is None else budget
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"

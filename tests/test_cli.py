@@ -7,9 +7,11 @@ import json
 import pytest
 
 from stardeck import (
+    Graph,
     PartialDesign,
     Star,
     complete,
+    decompose_exhaustive,
     design_from_doc,
     dumps_design,
     gen_uncompletable,
@@ -250,30 +252,33 @@ def test_precentral_shows_repair_and_residual_flaw(capsys, blocked_file):
     )
 
 
-# ------------------------------------------------------------------ budget env
+# ---------------------------------------------------------------------- budget
 
 
-def test_bad_budget_variable_fails_only_where_a_budget_is_needed(
-    capsys, monkeypatch, one_star_file
-):
-    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "x")
-    assert main(["threshold", "9", "3"]) == 0
-    assert capsys.readouterr().out == (
-        "n=9 k=3\nadmissible: yes\ndesign-exists: yes\nu: 3\n"
+def test_budget_variable_is_ignored(capsys, monkeypatch, search_only_file):
+    # the search runs on search_only_file, so a budget read from the
+    # environment would change its answer
+    runs = (
+        ["threshold", "9", "3"],
+        ["complete", search_only_file],
+        ["complete", search_only_file, "--json"],
+        ["oracle", search_only_file],
+        ["verify", search_only_file],
+        ["precentral", search_only_file],
+        ["gen-uncompletable", "6", "3"],
+        ["gen-random", "9", "3", "2", "1"],
     )
-    assert main(["complete", one_star_file]) == 2
-    assert capsys.readouterr() == (
-        "", "STARDECK_ORACLE_BUDGET must be an integer, got 'x'\n"
-    )
-    assert main(["complete", one_star_file, "--budget", "5"]) == 0
-    capsys.readouterr()
-    # oracle needs no search here, yet rejects the variable all the same
-    assert main(["oracle", one_star_file]) == 2
-    assert capsys.readouterr() == (
-        "", "STARDECK_ORACLE_BUDGET must be an integer, got 'x'\n"
-    )
-    assert main(["oracle", one_star_file, "--budget", "5"]) == 0
-    assert capsys.readouterr() == ("yes\n", "")
+    monkeypatch.delenv("STARDECK_ORACLE_BUDGET", raising=False)
+    expected = []
+    for argv in runs:
+        code = main(argv)
+        expected.append((code, capsys.readouterr()))
+    assert expected[3] == (0, ("yes\n", ""))
+    for value in ("x", "0", "1"):
+        monkeypatch.setenv("STARDECK_ORACLE_BUDGET", value)
+        for argv, want in zip(runs, expected):
+            assert (main(argv), capsys.readouterr()) == want, (value, argv)
+        assert decompose_exhaustive(Graph.complete(6), 3).status == "found"
 
 
 def test_budget_flag_below_one_is_input_error(capsys, one_star_file):
@@ -324,6 +329,23 @@ def test_out_of_memory_is_one_line_input_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "out of memory: the design is too large for this machine\n"
+
+
+def test_huge_order_is_one_line_input_error(capsys, tmp_path):
+    # an order past the C index range cannot even be counted out in range()
+    n = 10**21
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "k": 3, "stars": []}))
+    for argv in (
+        ["complete", str(path)],
+        ["oracle", str(path)],
+        ["precentral", str(path)],
+        ["gen-uncompletable", str(n), "3"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == (
+            "", "out of memory: the design is too large for this machine\n"
+        ), argv
 
 
 # ------------------------------------------------------------------- top level

@@ -9,14 +9,12 @@ from itertools import combinations
 import pytest
 
 from stardeck import (
-    DEFAULT_BUDGET,
     Graph,
     Infeasible,
     PartialDesign,
     Star,
     construct,
     decompose_exhaustive,
-    default_budget,
     design_from_doc,
     gen_uncompletable,
     has_completion,
@@ -171,28 +169,3 @@ def test_has_completion_rejects_invalid_design():
     bad = PartialDesign(6, 3, (Star(0, frozenset({1, 2})),))
     with pytest.raises(ValueError):
         has_completion(bad)
-
-
-# -------------------------------------------------------------------- budgets
-
-
-def test_default_budget_reads_environment(monkeypatch):
-    monkeypatch.delenv("STARDECK_ORACLE_BUDGET", raising=False)
-    assert default_budget() == DEFAULT_BUDGET
-    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "123")
-    assert default_budget() == 123
-
-
-def test_default_budget_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "zero")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "0")
-    with pytest.raises(ValueError):
-        default_budget()
-
-
-def test_environment_budget_flows_into_search(monkeypatch):
-    monkeypatch.setenv("STARDECK_ORACLE_BUDGET", "1")
-    res = decompose_exhaustive(Graph.complete(6), 3)
-    assert res.status == "budget_exceeded"
