@@ -3,12 +3,13 @@
 Exit codes: 0 for success, 1 for a certified or negative answer (including
 "unknown" where only an out-of-reach exhaustive search could decide), 2 for
 input errors (bad arguments, unparseable files, invalid designs, designs too
-large for the memory at hand).
+large for the memory at hand) and for output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from random import Random
 
@@ -79,7 +80,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
         return 0 if result.outcome == "completed" else 1
     if result.outcome == "completed":
         assert result.design is not None
-        print(dumps_design(result.design))
+        # written first, so the trace line never follows a failed write
+        print(dumps_design(result.design), flush=True)
         _err("completed: " + " > ".join(result.trace))
         return 0
     print(f"{result.outcome}: {result.reason}")
@@ -259,7 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return 0 if code is None else int(code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
     except ValueError as exc:
         # input errors: an unreadable or invalid design document, or
         # arguments out of range, --budget among them
@@ -269,6 +274,14 @@ def main(argv: list[str] | None = None) -> int:
         # an order too large for this machine is an input error too, whether
         # its tables exhaust memory or its size does not fit in a C index
         _err("out of memory: the design is too large for this machine")
+        return 2
+    except OSError as exc:
+        # a full disk or a pipe closed by its reader; stdout then points at
+        # the null device, so the flush at shutdown has nothing to report
+        _err(f"cannot write output: {exc}")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

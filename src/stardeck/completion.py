@@ -3,8 +3,8 @@
 Any partial design of admissible order n >= 2k with at most u(n, k) stars is
 completable, and this module actually builds the completion: pad up to the
 threshold, peel off a reducible vertex when possible, then dispatch on the
-order regime (direct 2-star pairing for k = 2, relabeling a canonical design
-at n = 2k, a closed-form precentral function for small orders, the repaired
+order regime (direct 2-star pairing for k = 2, the rotational design at
+n = 2k, a closed-form precentral function for small orders, the repaired
 minimal precentral function beyond).  Designs over the threshold are
 attempted opportunistically and may come back certified-impossible or
 unknown.
@@ -13,7 +13,6 @@ unknown.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .designs import (
@@ -27,7 +26,7 @@ from .designs import (
     threshold_u,
 )
 from .oracle import DEFAULT_BUDGET, decide
-from .precentral import Precentral, find_bad, minimal, suitable
+from .precentral import Precentral, find_bad, suitable
 from .realize import Infeasible, decompose_2stars, realize
 
 
@@ -205,36 +204,21 @@ def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
     return Precentral.of_graph(leftover, k, values)
 
 
-@lru_cache(maxsize=None)
-def _canonical_design(k: int) -> tuple[Star, ...]:
-    """A fixed full k-star design of order 2k, built once per k."""
-    graph = Graph.complete(2 * k)
-    result = realize(graph, k, minimal(graph, k))
-    if isinstance(result, Infeasible):
-        raise CompletionDefect(
-            f"canonical order-{2 * k} design failed to realize (k={k})"
-        )
-    return tuple(result)
+def _order_2k(star: Star, vertices: Sequence[int]) -> list[Star]:
+    """The other stars of a full design of order 2k that contains ``star``.
 
-
-def _relabel_canonical(star: Star, vertices: Sequence[int]) -> list[Star]:
-    """Map the canonical order-2k design onto the one given star.
-
-    ``vertices`` are the 2k vertices of the design.  Returns the other stars
-    of the mapped design; the given star is the image of the canonical
-    design's first star.
+    ``vertices`` are the design's 2k vertices, ascending.  The rotational
+    design: with w the star's last leaf, put the center, the other leaves and
+    then every other vertex on a ring of 2k - 1, and let each ring vertex
+    center w and the k - 1 ring vertices after it; ring vertex 0's star is the
+    given one.  Of the two ring distances between two ring vertices, which
+    add up to 2k - 1, exactly one is below k, so each edge is covered once.
     """
-    k = len(vertices) // 2
-    canon = _canonical_design(k)
-
-    def order(s: Star, among: Iterable[int]) -> list[int]:
-        # the center, the leaves ascending, then every other vertex ascending
-        center, leaves = s
-        return [center, *leaves, *(v for v in among if v != center and v not in leaves)]
-
-    to = dict(zip(order(canon[0], range(2 * k)), order(star, vertices))).__getitem__
-    # the map is not increasing, so the leaves are sorted again
-    return [Star(to(center), map(to, leaves)) for center, leaves in canon[1:]]
+    center, leaves = star
+    w, k = leaves[-1], len(leaves)
+    # the ring twice over, so the k - 1 vertices after i are one slice
+    ring = [center, *leaves[:-1], *(v for v in vertices if v != center and v not in leaves)] * 2
+    return [Star(ring[i], [w, *ring[i + 1:i + k]]) for i in range(1, 2 * k - 1)]
 
 
 def _valid_quick(n: int, k: int, stars: tuple[Star, ...]) -> bool:
@@ -408,7 +392,7 @@ def _construction(k: int, stars: list[Star], rows: list[tuple[int, ...]],
     n = len(vertices)
     if n == 2 * k:
         trace.append("construction=relabel-2k")
-        return _relabel_canonical(stars[0], vertices)
+        return _order_2k(stars[0], vertices)
 
     if n == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled

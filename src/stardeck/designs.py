@@ -269,14 +269,16 @@ def random_design(n: int, k: int, m: int, rng: Random) -> PartialDesign:
 
     Each star picks a uniformly random center among vertices with at least k
     uncovered incident edges, then a uniform k-subset of its uncovered
-    neighbors.  Raises ValueError when no further star fits.
+    neighbors.  Raises ValueError when no further star fits, and
+    OverflowError at once on an order past the C index range.
     """
     if n < 1 or k < 2 or m < 0:
         raise ValueError("random_design requires n >= 1, k >= 2, m >= 0")
-    adj: list[set[int]] = [set(range(n)) - {v} for v in range(n)]
+    vertices = list(range(n))  # sized before it is filled, so a huge n fails here
+    adj: list[set[int]] = [set(vertices) - {v} for v in vertices]
     stars: list[Star] = []
     for i in range(m):
-        eligible = [v for v in range(n) if len(adj[v]) >= k]
+        eligible = [v for v in vertices if len(adj[v]) >= k]
         if not eligible:
             raise ValueError(
                 f"cannot place star {i + 1} of {m}:"

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,29 @@ def test_gen_random_reports_stuck_generation(capsys):
     assert "cannot place star" in capsys.readouterr().err
 
 
+def test_gen_random_rejects_huge_order_before_any_work():
+    # in a child capped at 1 GB, so that building n vertex sets fails the
+    # test with a MemoryError instead of exhausting the machine
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = (
+        "import random, stardeck\n"
+        "try:\n"
+        "    stardeck.random_design(10**21, 3, 1, random.Random(1))\n"
+        "except BaseException as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    assert _child(["-c", code], preexec_fn=cap).stdout == "OverflowError\n"
+    out = _child(["-m", "stardeck.cli", "gen-random", str(10**21), "3", "1", "1"],
+                 preexec_fn=cap)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        2, "", "out of memory: the design is too large for this machine\n"
+    )
+
+
 # ---------------------------------------------------------------------- oracle
 
 
@@ -346,6 +373,49 @@ def test_huge_order_is_one_line_input_error(capsys, tmp_path):
         assert capsys.readouterr() == (
             "", "out of memory: the design is too large for this machine\n"
         ), argv
+
+
+# ---------------------------------------------------------------------- output
+
+
+def _child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` on this tree's package, with a 20 s timeout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, timeout=20, text=True,
+                          stderr=subprocess.PIPE, **kwargs)
+
+
+def _assert_write_error(out: subprocess.CompletedProcess, message: str) -> None:
+    assert out.returncode == 2
+    assert out.stderr == f"cannot write output: {message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["threshold", "9", "3"], ["complete", "FILE"], ["complete", "FILE", "--json"],
+])
+def test_unwritable_output_is_one_line_error(one_star_file, argv):
+    argv = [one_star_file if a == "FILE" else a for a in argv]
+    with open("/dev/full", "w") as full:
+        out = _child(["-m", "stardeck.cli", *argv], stdout=full)
+    _assert_write_error(out, "[Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "9", "3"], ["complete", "FILE"], ["gen-random", "60", "3", "30", "1"],
+])
+def test_pipe_closed_by_reader_is_one_line_error(one_star_file, argv):
+    argv = [one_star_file if a == "FILE" else a for a in argv]
+    read, write = os.pipe()
+    os.close(read)  # closed before the child starts, so every write fails
+    try:
+        out = _child(["-m", "stardeck.cli", *argv], stdout=write)
+    finally:
+        os.close(write)
+    _assert_write_error(out, "[Errno 32] Broken pipe")
 
 
 # ------------------------------------------------------------------- top level

@@ -343,6 +343,40 @@ def test_complete_single_star_order_six():
     assert "construction=relabel-2k" in r.trace
 
 
+@pytest.mark.parametrize("k", range(2, 41))
+def test_order_2k_extends_one_star_to_a_full_design(k):
+    rng = random.Random(k)
+    # a random star on 0..2k-1, and on 2k labels spread over 0..3k-1 as when
+    # the reduction isolates a vertex
+    for universe in (2 * k, 3 * k):
+        vertices = sorted(rng.sample(range(universe), 2 * k))
+        center, *others = rng.sample(vertices, 2 * k)
+        star = Star(center, others[:k])
+        built = completion._order_2k(star, vertices)
+        assert len(built) == 2 * k - 2
+        graph = Graph.from_edges(universe, combinations(vertices, 2))
+        assert verify_decomposition(graph, k, [star, *built])
+        for s in built:
+            assert type(s) is Star and list(s.leaves) == sorted(set(s.leaves)), s
+
+
+def test_order_2k_completion_makes_no_realize_call(monkeypatch):
+    calls = []
+    original = completion.realize
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(completion, "realize", spy)
+    for k in range(3, 9):
+        d = PartialDesign(2 * k, k, (Star(k, range(k)),))
+        r = complete(d)
+        _assert_completed(d, r)
+        assert "construction=relabel-2k" in r.trace
+    assert calls == []
+
+
 def test_complete_not_admissible():
     r = complete(PartialDesign(8, 3))
     assert r.outcome == "impossible"
@@ -489,7 +523,7 @@ def test_complete_randomized_guarantee_small_grid():
     [
         ("decompose_2stars", PartialDesign(4, 2), "construction=2star"),
         (
-            "_canonical_design",
+            "_order_2k",
             PartialDesign(6, 3, (Star(0, frozenset({1, 2, 3})),)),
             "construction=relabel-2k",
         ),
