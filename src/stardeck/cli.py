@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 for success, 1 for a certified or negative answer (including
-"unknown" where only an out-of-reach exhaustive search could decide), 2 for
+"unknown" when the exhaustive search runs out of its node budget), 2 for
 input errors (bad arguments, unparseable files, invalid designs, designs too
 large for the memory at hand) and for output that cannot be written.
 """
@@ -31,7 +31,13 @@ from .precentral import BadEdge, BadVertex, find_bad, minimal, suitable
 
 
 def _err(message: str) -> None:
-    print(message, file=sys.stderr)
+    # best effort: a closed or full stderr must not change the exit code
+    if sys.stderr is None:
+        return
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _load_design(path: str) -> PartialDesign:
@@ -199,8 +205,15 @@ def cmd_precentral(args: argparse.Namespace) -> int:
 _BUDGET_HELP = f"search node budget (default: {DEFAULT_BUDGET:,})"
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None) -> None:
+        # argparse drops a failed write; main() must see it and exit 2.
+        # Subcommand parsers are of this class too.
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stardeck",
         description="Decide, build, and refute completions of partial k-star designs.",
     )
@@ -253,17 +266,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv: list[str] | None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return 0 if exc.code is None else int(exc.code)
+    return args.func(args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if sys.stdout is None:  # started with stdout closed
+        _err("cannot write output: standard output is closed")
+        return 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 0 if code is None else int(code)
-    try:
-        code = args.func(args)
-        if sys.stdout is not None:  # None when started with stdout closed
-            sys.stdout.flush()
+        # parsing too, so that help that cannot be written exits 2
+        code = _run(argv)
+        sys.stdout.flush()
         return code
     except ValueError as exc:
         # input errors: an unreadable or invalid design document, or

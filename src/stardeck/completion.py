@@ -5,9 +5,10 @@ completable, and this module actually builds the completion: pad up to the
 threshold, peel off a reducible vertex when possible, then dispatch on the
 order regime (direct 2-star pairing for k = 2, the rotational design at
 n = 2k, a closed-form precentral function for small orders, the repaired
-minimal precentral function beyond).  Designs over the threshold are
-attempted opportunistically and may come back certified-impossible or
-unknown.
+minimal precentral function beyond).  Every completion is accepted only
+after a merge check.  Designs over the threshold are decided as
+``has_completion`` decides them and may come back certified-impossible or,
+when the search budget runs out, unknown.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .designs import (
     threshold_u,
 )
 from .oracle import DEFAULT_BUDGET, decide
-from .precentral import Precentral, find_bad, suitable
+from .precentral import Precentral, suitable
 from .realize import Infeasible, decompose_2stars, realize
 
 
@@ -262,42 +263,18 @@ def _merged(n: int, k: int, stars: Iterable[Star],
     return CompletionResult("completed", full, trace=tuple(trace))
 
 
-def _check_degree_facts(leftover: Graph, k: int, vertices: Iterable[int]) -> None:
-    # facts that hold for leftovers of threshold designs in the large regime,
-    # on the design's vertices; violations mean the caller dispatched a graph
-    # it should not have
-    degrees = leftover.degrees()
-    low = [v for v in vertices if degrees[v] < 2 * k]
-    lowest = [v for v in low if degrees[v] <= k]
-    if len(lowest) > 1:
-        raise CompletionDefect(
-            f"expected at most one leftover vertex of degree <= k, found {lowest}"
-        )
-    if len(low) < 3:
-        return  # a defect needs an adjacent pair plus a third such vertex
-    for a in low:
-        for b in leftover.rows[a]:
-            if b > a and degrees[b] < 2 * k:
-                others = [v for v in low if v not in (a, b)]
-                raise CompletionDefect(
-                    f"adjacent low-degree pair ({a},{b}) plus further "
-                    f"low-degree vertices {others} in leftover"
-                )
-
-
 def complete(
     design: PartialDesign,
     *,
     oracle_budget: int = DEFAULT_BUDGET,
-    oracle_max_n: int = 12,
 ) -> CompletionResult:
     """Complete the design to a full k-star design, or certify why not.
 
     Designs with at most u(n, k) stars on admissible orders n >= 2k always
-    come back "completed" (anything else raises CompletionDefect).  Inputs
-    over the threshold are attempted: the result may be "completed", a
-    certified "impossible", or "unknown" when only the exhaustive oracle
-    could decide and the order or node budget rules it out.
+    come back "completed" (anything else raises CompletionDefect).  Over
+    the threshold the answer is that of :func:`has_completion`: "completed",
+    a certified "impossible", or "unknown" when the exhaustive search runs
+    out of its ``oracle_budget`` nodes, the only bound on its work.
     """
     n, k = design.n, design.k
     trace: list[str] = ["validated"]
@@ -319,7 +296,7 @@ def complete(
     # over the threshold: admissibility makes k divide the leftover's edges
     trace.append("over-threshold-attempt")
     outcome, stars, reason, certificate = decide(
-        design.leftover(), k, oracle_budget, oracle_max_n, trace
+        design.leftover(), k, oracle_budget, trace
     )
     if outcome == "yes":
         return _merged(n, k, [*design.stars, *stars], trace)
@@ -407,13 +384,7 @@ def _construction(k: int, stars: list[Star], rows: list[tuple[int, ...]],
         p = _small_order_precentral(k, leftover, stars, vertices)
     else:
         trace.append("construction=suitable")
-        _check_degree_facts(leftover, k, vertices)
         p = suitable(leftover, k)
-        residue = find_bad(p, leftover, k)
-        if residue is not None:
-            raise CompletionDefect(
-                f"suitable function still flawed on in-scope leftover: {residue}"
-            )
     built = realize(leftover, k, p)
     if isinstance(built, Infeasible):
         raise CompletionDefect(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .designs import Graph, PartialDesign, Star, _star, is_admissible, threshold_u
+from .designs import Graph, PartialDesign, Star, _star, is_admissible
 
 
 class BlockedEdgeCertificate(NamedTuple):
@@ -79,8 +79,4 @@ def gen_uncompletable(n: int, k: int) -> PartialDesign:
     for center in (0, 1):
         for i in range(per_center):
             stars.append(_star(center, pool[i * k:(i + 1) * k]))
-    design = PartialDesign(n, k, tuple(stars))
-    assert len(design.stars) == threshold_u(n, k) + 1
-    cert = check_blocked_edge(design)
-    assert cert is not None and cert.edge == (0, 1)
-    return design
+    return PartialDesign(n, k, tuple(stars))

@@ -122,17 +122,16 @@ def decompose_exhaustive(
 
 
 def decide(
-    leftover: Graph, k: int, budget: int, max_n: int | None,
-    trace: list[str],
+    leftover: Graph, k: int, budget: int, trace: list[str],
 ) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
     """Can the leftover graph be decomposed into k-stars?
 
     Returns ``(outcome, stars, reason, certificate)``: "yes" with the stars,
     "no" with a reason and certificate, or "unknown" with a reason.  Tries,
     in order, a blocked edge, the 2-star pairing (k = 2, which decides),
-    :func:`construct`, and, unless the order exceeds ``max_n``, the
-    exhaustive search under ``budget``.  Each step taken is appended to
-    ``trace``.  The edge count must be a multiple of k.
+    :func:`construct`, and the exhaustive search under ``budget``.  Each
+    step taken is appended to ``trace``.  The edge count must be a multiple
+    of k.
     """
     cert = blocked_edge(leftover, k)
     if cert is not None:
@@ -156,9 +155,6 @@ def decide(
         trace.append("construction=suitable")
         return "yes", stars, None, None
     trace.append("realize-infeasible")
-    if max_n is not None and leftover.n > max_n:
-        trace.append("oracle=out-of-reach")
-        return "unknown", None, "oracle-out-of-reach", None
     oracle = decompose_exhaustive(leftover, k, budget=budget)
     if oracle.status == "found":
         trace.append("construction=oracle")
@@ -174,10 +170,10 @@ def has_completion(design: PartialDesign, budget: int = DEFAULT_BUDGET) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
     "no" when k does not divide the leftover's edge count; otherwise the
-    answer of :func:`decide`, with no order limit on the search.  "unknown"
-    comes only when the search runs out of its node budget.
+    answer of :func:`decide`.  "unknown" comes only when the search runs out
+    of its node budget.
     """
     leftover = design.leftover()
     if leftover.edge_count % design.k != 0:
         return "no"
-    return decide(leftover, design.k, budget, None, [])[0]
+    return decide(leftover, design.k, budget, [])[0]

@@ -384,8 +384,9 @@ def _child(args: list[str], **kwargs) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, *args], env=env, timeout=20, text=True,
-                          stderr=subprocess.PIPE, **kwargs)
+                          **kwargs)
 
 
 def _assert_write_error(out: subprocess.CompletedProcess, message: str) -> None:
@@ -402,6 +403,37 @@ def test_unwritable_output_is_one_line_error(one_star_file, argv):
     with open("/dev/full", "w") as full:
         out = _child(["-m", "stardeck.cli", *argv], stdout=full)
     _assert_write_error(out, "[Errno 28] No space left on device")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_output_and_stderr_exit_2():
+    # the error line is lost too, but the exit code still says "output"
+    with open("/dev/full", "w") as full:
+        out = _child(["-m", "stardeck.cli", "threshold", "9", "3"],
+                     stdout=full, stderr=full)
+    assert out.returncode == 2
+
+
+def test_closed_stderr_keeps_exit_code():
+    # the input error cannot be reported, and it never goes to stdout
+    out = _child(["-m", "stardeck.cli", "threshold", "1", "1"],
+                 stderr=None, preexec_fn=lambda: os.close(2))
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["complete", "--help"]])
+def test_unwritable_help_is_one_line_error(argv):
+    with open("/dev/full", "w") as full:
+        out = _child(["-m", "stardeck.cli", *argv], stdout=full)
+    _assert_write_error(out, "[Errno 28] No space left on device")
+
+
+def test_closed_stdout_is_one_line_error():
+    out = _child(["-m", "stardeck.cli", "threshold", "9", "3"],
+                 stdout=None, preexec_fn=lambda: os.close(1))
+    _assert_write_error(out, "standard output is closed")
 
 
 @pytest.mark.parametrize("argv", [

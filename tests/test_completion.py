@@ -14,15 +14,18 @@ from stardeck import (
     Graph,
     Infeasible,
     PartialDesign,
+    Precentral,
     Star,
     complete,
     decompose_2stars,
     decompose_exhaustive,
     design_exists,
     design_from_doc,
+    find_bad,
     gen_uncompletable,
     has_completion,
     is_admissible,
+    loads_design,
     pad_to_threshold,
     random_design,
     realize,
@@ -487,6 +490,63 @@ def test_complete_large_order_route():
     _assert_completed(d, r)
 
 
+def _lemma_designs():
+    """Seeded designs that reach the suitable regime: k = 3..5, orders 3k+2
+    to 150 and one from 300.  Those of order 0 mod 3 have u // 2 stars, so
+    padding runs; the others have u, and at n = 1 (mod k) most of them are
+    reducible."""
+    for k in (3, 4, 5):
+        orders = [n for n in range(3 * k + 2, 151) if design_exists(n, k)]
+        orders.append(next(n for n in range(300, 322) if design_exists(n, k)))
+        for n in orders:
+            u = threshold_u(n, k)
+            yield seeded_design(n, k, u // 2 if n % 3 == 0 else u, seed=n * k)
+
+
+def test_suitable_regime_leftovers_satisfy_the_degree_lemmas(monkeypatch):
+    # the paper's lemmas on the leftover of a threshold design, checked on
+    # every leftover that complete() hands to the suitable function
+    seen = []
+    original = completion.suitable
+
+    def spy(graph, k):
+        p = original(graph, k)
+        seen.append((graph, p))
+        return p
+
+    monkeypatch.setattr(completion, "suitable", spy)
+    steps = Counter()
+    for d in _lemma_designs():
+        seen.clear()
+        r = complete(d)
+        assert r.outcome == "completed"  # merge-checked
+        [(graph, p)] = seen
+        k = d.k
+        reduced = [int(t[len("reduce@"):]) for t in r.trace if t.startswith("reduce@")]
+        steps.update(t.partition("+")[0].partition("@")[0] for t in r.trace)
+        degrees = graph.degrees()
+        vertices = [v for v in range(graph.n) if v not in reduced]
+        # at most one vertex of degree <= k, and when three or more have
+        # degree below 2k, no two of them are adjacent
+        low = [v for v in vertices if degrees[v] < 2 * k]
+        assert len([v for v in low if degrees[v] <= k]) <= 1, d
+        if len(low) >= 3:
+            assert all(degrees[b] >= 2 * k for a in low for b in graph.rows[a]), d
+        assert find_bad(p, graph, k) is None, d
+    assert steps["validated"] >= 180  # one per design
+    assert steps["pad"] >= 50 and steps["reduce"] >= 50
+
+
+def test_flawed_suitable_function_is_a_realization_defect(monkeypatch):
+    # a flaw that find_bad would report leaves edges that realize cannot
+    # place, so its infeasibility witness names the defect
+    monkeypatch.setattr(completion, "suitable", lambda graph, k: Precentral.of_graph(
+        graph, k, [graph.edge_count // k] + [0] * (graph.n - 1)))
+    with pytest.raises(CompletionDefect,
+                       match="construction=suitable: realization infeasible"):
+        complete(PartialDesign(12, 3))
+
+
 def test_complete_full_design_is_identity():
     full = complete(PartialDesign(6, 3)).design
     r = complete(full)
@@ -815,10 +875,31 @@ def test_over_threshold_unknown_when_budget_exhausted():
     assert r.design is None
 
 
-def test_over_threshold_unknown_when_out_of_reach():
-    r = complete(_k4_leftover_design(), oracle_max_n=5)
-    assert r.outcome == "unknown"
-    assert r.reason == "oracle-out-of-reach"
+# u(15, 5) = 3; construct fails on both leftovers, and the search finds a
+# decomposition in 60 and 1,064 nodes
+SEARCHED_AT_15 = [
+    '{"n":15,"k":5,"stars":[{"center":0,"leaves":[1,2,10,12,13]},'
+    '{"center":14,"leaves":[2,4,5,7,9]},{"center":3,"leaves":[4,5,9,11,14]},'
+    '{"center":11,"leaves":[0,2,4,7,9]},{"center":1,"leaves":[2,4,10,11,14]},'
+    '{"center":8,"leaves":[0,2,6,11,14]},{"center":14,"leaves":[6,10,11,12,13]},'
+    '{"center":12,"leaves":[2,3,4,7,10]},{"center":6,"leaves":[1,2,4,11,12]}]}',
+    '{"n":15,"k":5,"stars":[{"center":7,"leaves":[0,1,6,8,11]},'
+    '{"center":14,"leaves":[1,2,4,7,9]},{"center":3,"leaves":[4,7,11,12,14]},'
+    '{"center":12,"leaves":[1,4,5,11,13]},{"center":8,"leaves":[0,1,3,4,9]},'
+    '{"center":13,"leaves":[0,4,5,6,8]},{"center":10,"leaves":[2,6,7,8,9]},'
+    '{"center":2,"leaves":[1,3,4,11,13]},{"center":4,"leaves":[0,1,5,9,11]}]}',
+]
+
+
+@pytest.mark.parametrize("text", SEARCHED_AT_15)
+def test_over_threshold_searches_at_any_order(text):
+    # only the node budget bounds the search, as for has_completion
+    d = loads_design(text)
+    assert len(d.stars) > threshold_u(d.n, d.k)
+    r = complete(d)
+    _assert_completed(d, r)
+    assert r.trace[-2:] == ("construction=oracle", "merged")
+    assert has_completion(d) == "yes"
 
 
 def test_over_threshold_differential_fuzz():
@@ -826,7 +907,7 @@ def test_over_threshold_differential_fuzz():
     # a completion by verify_decomposition on the leftover, a refutation by
     # the exhaustive search; unknown is only the oracle's to give
     rng = random.Random(6)
-    pairs = [(n, k) for k in range(2, 6) for n in range(2 * k, 13) if is_admissible(n, k)]
+    pairs = [(n, k) for k in range(2, 6) for n in range(2 * k, 17) if is_admissible(n, k)]
     outcomes = set()
     for i in range(300):
         n, k = pairs[i % len(pairs)]
@@ -838,7 +919,6 @@ def test_over_threshold_differential_fuzz():
                 continue  # no room for that many stars; draw again
         r = complete(d, oracle_budget=1000)
         outcomes.add(r.outcome)
-        # n <= 12 = oracle_max_n, so both take the same decision
         assert has_completion(d, budget=1000) == {
             "completed": "yes", "impossible": "no", "unknown": "unknown"
         }[r.outcome], d

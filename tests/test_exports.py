@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,7 @@ REMOVED = [
     ("stardeck", None, "delta_t"),
     ("stardeck", None, "subset_check"),
     ("stardeck", None, "verify_decomposition"),
+    ("stardeck.completion", None, "_check_degree_facts"),
     ("stardeck.designs", None, "CentralFunction"),
     ("stardeck.designs", "Graph", "degree"),
     ("stardeck.designs", "Graph", "has_edge"),
@@ -117,6 +119,10 @@ def test_removed_name_is_gone(modname, cls, attr):
     if cls is not None:
         owner = getattr(owner, cls)
     assert not hasattr(owner, attr)
+
+
+def test_complete_has_no_order_cutoff():
+    assert "oracle_max_n" not in inspect.signature(stardeck.complete).parameters
 
 
 def _tracer_targets() -> list[tuple[str, str, str | None, str]]:
