@@ -3,7 +3,8 @@
 Exit codes: 0 for success, 1 for a certified or negative answer (including
 "unknown" when the exhaustive search runs out of its node budget), 2 for
 input errors (bad arguments, unparseable files, invalid designs, designs too
-large for the memory at hand) and for output that cannot be written.
+large for the memory or the call stack at hand) and for output that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -292,6 +293,12 @@ def main(argv: list[str] | None = None) -> int:
         # an order too large for this machine is an input error too, whether
         # its tables exhaust memory or its size does not fit in a C index
         _err("out of memory: the design is too large for this machine")
+        return 2
+    except RecursionError:
+        # realize() follows each chain of edge relocations by recursion, so
+        # a large enough order outgrows Python's call stack; that is a design
+        # too large, not a negative answer
+        _err("design too large: the construction exceeded Python's recursion limit")
         return 2
     except OSError as exc:
         # a full disk or a pipe closed by its reader; stdout then points at

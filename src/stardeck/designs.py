@@ -118,11 +118,6 @@ class Graph(_Record):
         return _rebuild(cls, (n, rows))
 
     @classmethod
-    def complete(cls, n: int) -> "Graph":
-        vertices = list(range(n))  # rows share these int objects
-        return cls._of_rows(n, tuple((*vertices[:v], *vertices[v + 1:]) for v in vertices))
-
-    @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, pairs)
 

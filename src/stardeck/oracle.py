@@ -16,7 +16,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .designs import Graph, PartialDesign, Star
 from .extremal import blocked_edge
-from .precentral import VertexFunction, vertex_values
 from .realize import Infeasible, construct, decompose_2stars
 
 DEFAULT_BUDGET = 10_000_000
@@ -31,31 +30,18 @@ class OracleResult(NamedTuple):
 
 
 def decompose_exhaustive(
-    graph: Graph,
-    k: int,
-    pinned: VertexFunction | None = None,
-    budget: int = DEFAULT_BUDGET,
+    graph: Graph, k: int, *, budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
-    """Exhaustive k-star decomposition search, optionally with pinned centers.
+    """Exhaustive k-star decomposition search.
 
-    With ``pinned``, only decompositions whose center counts equal the pinned
-    function are admitted, and branches where a vertex's uncovered degree
-    cannot support its remaining pinned stars are cut.  Deterministic for a
-    given input; found decompositions are reproducible.
+    Deterministic for a given input; found decompositions are reproducible.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     n = graph.n
-    m = graph.edge_count
-    if m % k != 0:
+    if graph.edge_count % k != 0:
         return OracleResult("none", None, 0)
-    pins: tuple[int, ...] | None = None
-    if pinned is not None:
-        pins = vertex_values(pinned, n)
-        if any(v < 0 for v in pins) or sum(pins) * k != m:
-            return OracleResult("none", None, 0)
     adj: list[set[int]] = [set(row) for row in graph.rows]
-    counts = [0] * n
     stars: list[Star] = []
 
     def blocked(x: int) -> bool:
@@ -74,8 +60,6 @@ def decompose_exhaustive(
         # back before it tries the next one
         hi = min(adj[lo])
         for center, other in ((lo, hi), (hi, lo)):
-            if pins is not None and counts[center] >= pins[center]:
-                continue
             rest = sorted(adj[center] - {other})
             if len(rest) < k - 1:
                 continue
@@ -84,21 +68,10 @@ def decompose_exhaustive(
                 for y in leaves:
                     adj[center].discard(y)
                     adj[y].discard(center)
-                counts[center] += 1
-                touched = (center,) + leaves
-                ok = True
-                if pins is not None:
-                    for x in touched:
-                        if k * (pins[x] - counts[x]) > len(adj[x]):
-                            ok = False
-                            break
-                if ok:
-                    ok = not any(blocked(x) for x in touched)
-                if ok:
+                if not any(blocked(x) for x in (center,) + leaves):
                     stars.append(Star(center, leaves))
                     yield True
                     stars.pop()
-                counts[center] -= 1
                 for y in leaves:
                     adj[center].add(y)
                     adj[y].add(center)

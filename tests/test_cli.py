@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -305,7 +306,7 @@ def test_budget_variable_is_ignored(capsys, monkeypatch, search_only_file):
         monkeypatch.setenv("STARDECK_ORACLE_BUDGET", value)
         for argv, want in zip(runs, expected):
             assert (main(argv), capsys.readouterr()) == want, (value, argv)
-        assert decompose_exhaustive(Graph.complete(6), 3).status == "found"
+        assert decompose_exhaustive(Graph(6, combinations(range(6), 2)), 3).status == "found"
 
 
 def test_budget_flag_below_one_is_input_error(capsys, one_star_file):
@@ -373,6 +374,24 @@ def test_huge_order_is_one_line_input_error(capsys, tmp_path):
         assert capsys.readouterr() == (
             "", "out of memory: the design is too large for this machine\n"
         ), argv
+
+
+@pytest.mark.parametrize("command", ["complete", "oracle"])
+def test_order_past_the_recursion_limit_is_never_a_negative_answer(tmp_path, command):
+    # inside the guarantee, so exit 1 ("certified negative") would be wrong;
+    # exit 2 until realize() stops recursing, and a full design after
+    n, k = 1201, 3
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, "k": k, "stars": []}))
+    out = _child(["-m", "stardeck.cli", command, str(path)])
+    assert out.returncode in (0, 2)
+    assert "Traceback" not in out.stderr
+    if out.returncode == 2:
+        assert out.stdout == "" and out.stderr.count("\n") == 1
+    elif command == "complete":
+        assert len(design_from_doc(json.loads(out.stdout)).stars) == n * (n - 1) // 2 // k
+    else:
+        assert out.stdout == "yes\n"
 
 
 # ---------------------------------------------------------------------- output

@@ -934,6 +934,74 @@ def test_over_threshold_differential_fuzz():
     assert outcomes >= {"completed", "impossible"}
 
 
+# ------------------------------------------------- boundary and relabel families
+
+
+def test_extremal_designs_minus_one_star_complete():
+    # gen_uncompletable(n, k) less any one star has exactly u stars, so it
+    # lies in the guarantee; for n = 1 (mod k) only the reduction completes it
+    count = reduced = 0
+    for k in range(2, 7):
+        for n in range(2 * k, 41):
+            if not is_admissible(n, k):
+                continue
+            stars = gen_uncompletable(n, k).stars
+            for i in range(len(stars)):
+                d = PartialDesign(n, k, stars[:i] + stars[i + 1:])
+                r = complete(d)
+                _assert_completed(d, r)
+                reduces = any(step.startswith("reduce@") for step in r.trace)
+                assert reduces == (n % k == 1), (n, k, i, r.trace)
+                count += 1
+                reduced += reduces
+    assert (count, reduced) == (964, 444)
+
+
+def _relabeled(d: PartialDesign, rng: random.Random) -> PartialDesign:
+    """The design under a random vertex permutation, its stars shuffled."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    stars = [Star(perm[s.center], [perm[x] for x in s.leaves]) for s in d.stars]
+    rng.shuffle(stars)
+    return PartialDesign(d.n, d.k, tuple(stars))
+
+
+def test_relabeled_designs_within_the_guarantee_complete():
+    rng = random.Random(21)
+    pairs = [(n, k) for k in range(2, 7) for n in range(2 * k, 41) if design_exists(n, k)]
+    for i in range(300):
+        n, k = pairs[i % len(pairs)]
+        d = random_design(n, k, rng.randint(0, threshold_u(n, k)), rng)
+        for given in (d, _relabeled(d, rng)):
+            _assert_completed(given, complete(given))
+
+
+def test_relabeling_never_flips_an_answer_over_the_threshold():
+    # only the search depends on labels, so only "unknown" may move
+    rng = random.Random(22)
+    pairs = [(n, k) for k in range(3, 6) for n in range(2 * k, 17) if is_admissible(n, k)]
+    outcomes = Counter()
+    moved = 0
+    for i in range(1500):
+        n, k = pairs[i % len(pairs)]
+        while True:
+            try:
+                d = random_design(n, k, threshold_u(n, k) + rng.randint(1, 3), rng)
+                break
+            except ValueError:
+                continue  # no room for that many stars; draw again
+        a = complete(d, oracle_budget=1000)
+        b = complete(_relabeled(d, rng), oracle_budget=1000)
+        assert {a.outcome, b.outcome} != {"completed", "impossible"}, d
+        if a.outcome == b.outcome == "impossible":
+            assert a.reason == b.reason, d
+        moved += a.outcome != b.outcome
+        outcomes[a.outcome, a.reason] += 1
+    # 1,221 completed, 235 blocked-edge and 44 oracle refutations as given;
+    # one design moves between a definite answer and unknown
+    assert moved == 1, outcomes
+
+
 # ------------------------------------------------------------------ result doc
 
 

@@ -89,14 +89,6 @@ def test_sorted_edges_returns_a_fresh_list():
     assert sorted_edges(leftover) == [(0, 3), (1, 2), (1, 3), (2, 3)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
-def test_complete_graph_equals_graph_of_all_pairs(n):
-    g = Graph.complete(n)
-    ref = Graph(n, combinations(range(n), 2))
-    assert g == ref and hash(g) == hash(ref)
-    assert sorted_edges(g) == sorted_edges(ref)
-
-
 @pytest.mark.parametrize("leaves", [
     [3, 1, 2], {1, 2, 3}, (3, 2, 1), frozenset({2, 3, 1}), [3, 1, 1, 2],
     (x for x in (2, 3, 1, 3)),
@@ -120,12 +112,6 @@ def test_duplicated_json_leaf_counts_once():
     d = loads_design('{"n":6,"k":3,"stars":[{"center":0,"leaves":[2,1,2]}]}')
     assert d.stars[0].leaves == (1, 2)
     assert d.validate() == ["star 0: has 2 leaves, expected 3"]
-
-
-def test_complete_graph_edge_counts():
-    assert Graph.complete(1).edge_count == 0
-    assert Graph.complete(4).edge_count == 6
-    assert Graph.complete(6).edge_count == 15
 
 
 # ----------------------------------------------------------- admissibility / u

@@ -59,6 +59,7 @@ REMOVED = [
     ("stardeck", None, "verify_decomposition"),
     ("stardeck.completion", None, "_check_degree_facts"),
     ("stardeck.designs", None, "CentralFunction"),
+    ("stardeck.designs", "Graph", "complete"),
     ("stardeck.designs", "Graph", "degree"),
     ("stardeck.designs", "Graph", "has_edge"),
     ("stardeck.designs", "Graph", "neighbors"),
@@ -123,6 +124,12 @@ def test_removed_name_is_gone(modname, cls, attr):
 
 def test_complete_has_no_order_cutoff():
     assert "oracle_max_n" not in inspect.signature(stardeck.complete).parameters
+
+
+def test_search_has_one_mode_and_a_keyword_only_budget():
+    params = inspect.signature(stardeck.decompose_exhaustive).parameters
+    assert "pinned" not in params
+    assert params["budget"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def _tracer_targets() -> list[tuple[str, str, str | None, str]]:

@@ -22,19 +22,20 @@ from stardeck import (
     threshold_u,
 )
 
-from conftest import seeded_design, verify_decomposition
+from conftest import delta_t, seeded_design, subset_check, verify_decomposition
 
 
 def test_complete_graph_is_decomposable():
-    res = decompose_exhaustive(Graph.complete(6), 3)
+    g = Graph(6, combinations(range(6), 2))
+    res = decompose_exhaustive(g, 3)
     assert res.status == "found"
     assert len(res.stars) == 5
-    assert verify_decomposition(Graph.complete(6), 3, res.stars)
+    assert verify_decomposition(g, 3, res.stars)
 
 
 def test_search_depth_is_not_bounded_by_the_call_stack():
     # 1,080 stars deep; a search that nested one call per star overflowed
-    g = Graph.complete(81)
+    g = Graph(81, combinations(range(81), 2))
     res = decompose_exhaustive(g, 3)
     assert (res.status, res.nodes) == ("found", 1081)
     assert len(res.stars) == 1080
@@ -47,13 +48,14 @@ def test_triangle_has_no_2star_decomposition():
 
 
 def test_search_leaves_nothing_for_the_cyclic_collector():
+    k6 = Graph(6, combinations(range(6), 2))
     blocked = gen_uncompletable(6, 3).leftover()
     gc.collect()
     gc.disable()
     try:
-        statuses = [decompose_exhaustive(Graph.complete(6), 3).status,
+        statuses = [decompose_exhaustive(k6, 3).status,
                     decompose_exhaustive(blocked, 3).status,
-                    decompose_exhaustive(Graph.complete(6), 3, budget=1).status]
+                    decompose_exhaustive(k6, 3, budget=1).status]
         assert statuses == ["found", "none", "budget_exceeded"]
         assert gc.collect() == 0
     finally:
@@ -66,29 +68,28 @@ def test_blocked_leftover_has_no_decomposition():
 
 
 def test_indivisible_edge_count_is_immediate_none():
-    res = decompose_exhaustive(Graph.complete(4), 4)
+    res = decompose_exhaustive(Graph(4, combinations(range(4), 2)), 4)
     assert res.status == "none"
     assert res.nodes == 0
 
 
 def test_budget_exhaustion_is_reported():
-    res = decompose_exhaustive(Graph.complete(6), 3, budget=0)
+    res = decompose_exhaustive(Graph(6, combinations(range(6), 2)), 3, budget=0)
     assert res.status == "budget_exceeded"
     assert res.stars is None
 
 
 def test_search_is_deterministic():
-    a = decompose_exhaustive(Graph.complete(9), 3)
-    b = decompose_exhaustive(Graph.complete(9), 3)
-    assert a == b
+    g = Graph(9, combinations(range(9), 2))
+    assert decompose_exhaustive(g, 3) == decompose_exhaustive(g, 3)
 
 
 def test_rejects_k_below_two():
     with pytest.raises(ValueError):
-        decompose_exhaustive(Graph.complete(4), 1)
+        decompose_exhaustive(Graph(4, combinations(range(4), 2)), 1)
 
 
-def test_pinned_agreement_with_realize():
+def test_realize_agrees_with_subset_check():
     rng = random.Random(77)
     found = missing = 0
     for _ in range(120):
@@ -102,15 +103,15 @@ def test_pinned_agreement_with_realize():
         values = [0] * n
         for _ in range(g.edge_count // k):
             values[rng.randrange(n)] += 1
-        pinned = decompose_exhaustive(g, k, pinned=values)
         realized = realize(g, k, values)
-        if isinstance(realized, Infeasible):
+        infeasible = isinstance(realized, Infeasible)
+        assert infeasible == (subset_check(g, k, values) is not None)
+        if infeasible:
             missing += 1
-            assert pinned.status == "none"
+            assert delta_t(g, k, values, realized.vertices) < 0
         else:
             found += 1
-            assert pinned.status == "found"
-            assert verify_decomposition(g, k, pinned.stars, values)
+            assert verify_decomposition(g, k, realized, values)
     assert found >= 15 and missing >= 15
 
 

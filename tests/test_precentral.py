@@ -52,7 +52,7 @@ def _exhaustive_min_abs_residue(g: Graph, k: int) -> Fraction:
 
 
 def test_minimal_complete_graph_example():
-    p = minimal(Graph.complete(6), 3)
+    p = minimal(Graph(6, combinations(range(6), 2)), 3)
     assert p.values == (1, 1, 1, 1, 1, 0)
 
 
@@ -69,11 +69,11 @@ def test_minimal_single_star_graph():
 
 def test_minimal_rejects_indivisible_edge_count():
     with pytest.raises(ValueError):
-        minimal(Graph.complete(4), 4)
+        minimal(Graph(4, combinations(range(4), 2)), 4)
 
 
 def test_of_graph_validates_sum_and_sign():
-    g = Graph.complete(6)
+    g = Graph(6, combinations(range(6), 2))
     with pytest.raises(ValueError):
         Precentral.of_graph(g, 3, [1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ def test_of_graph_validates_sum_and_sign():
 
 
 def test_pstar_complete_graph_values():
-    p = minimal(Graph.complete(6), 3)
+    p = minimal(Graph(6, combinations(range(6), 2)), 3)
     assert p.pstar(0) == Fraction(1, 6)
     assert p.pstar(5) == Fraction(-5, 6)
 
@@ -167,7 +167,7 @@ def test_find_bad_edge_with_two_zero_endpoints():
 
 
 def test_find_bad_none_on_minimal_complete_graph():
-    g = Graph.complete(6)
+    g = Graph(6, combinations(range(6), 2))
     assert find_bad(minimal(g, 3), g, 3) is None
 
 
@@ -200,7 +200,7 @@ def test_find_bad_matches_sorted_edge_scan(k, g, data):
 
 
 def test_suitable_equals_minimal_when_no_flaw():
-    g = Graph.complete(6)
+    g = Graph(6, combinations(range(6), 2))
     assert suitable(g, 3).values == minimal(g, 3).values
 
 
@@ -291,7 +291,7 @@ def test_delta_t_star_leaf_deficit():
 
 
 def test_delta_t_complete_graph_pair():
-    g = Graph.complete(6)
+    g = Graph(6, combinations(range(6), 2))
     assert delta_t(g, 3, (1, 1, 1, 1, 1, 0), {0, 1}) == 3
 
 
@@ -305,7 +305,7 @@ def test_delta_t_matches_sorted_edge_scan(k, g, data):
 
 
 def test_delta_t_rejects_degenerate_subsets():
-    g = Graph.complete(4)
+    g = Graph(4, combinations(range(4), 2))
     p = minimal(g, 2)
     with pytest.raises(ValueError):
         delta_t(g, 2, p, set())
