@@ -293,11 +293,11 @@ def complete(
     # leftover() validates: the design's one check, the graph its one build
     if len(design.stars) <= threshold_u(n, k):
         return _merged(n, k, _completed_stars(design, design.leftover(), trace), trace)
-    # over the threshold: admissibility makes k divide the leftover's edges
+    # over the threshold: decide builds the leftover only when no edge is
+    # blocked, so the design is checked here
+    design._require_valid()
     trace.append("over-threshold-attempt")
-    outcome, stars, reason, certificate = decide(
-        design.leftover(), k, oracle_budget, trace
-    )
+    outcome, stars, reason, certificate = decide(design, oracle_budget, trace)
     if outcome == "yes":
         return _merged(n, k, [*design.stars, *stars], trace)
     return CompletionResult(

@@ -218,6 +218,10 @@ class PartialDesign(_Record):
     def leftover(self) -> Graph:
         """The graph of K_n edges not covered by any star."""
         self._require_valid()
+        return self._leftover()
+
+    def _leftover(self) -> Graph:
+        """:meth:`leftover` of a design the caller has already validated."""
         vertices = list(range(self.n))  # rows share these int objects
         # each vertex's covered partners, plus the vertex itself
         covered = [{v} for v in vertices]

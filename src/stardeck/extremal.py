@@ -8,17 +8,17 @@ is uncompletable, witnessing that the threshold u(n, k) is sharp.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
-from .designs import Graph, PartialDesign, Star, _star, is_admissible
+from .designs import PartialDesign, Star, _star, is_admissible
 
 
 class BlockedEdgeCertificate(NamedTuple):
     """An uncovered edge whose endpoints both have leftover degree in [1, k-1].
 
     Any star covering the edge would need k uncovered edges at one endpoint,
-    so no completion exists.
+    so no completion exists.  The degrees follow from the stars alone, so
+    the certificate is checked without building the leftover graph.
     """
 
     edge: tuple[int, int]
@@ -31,24 +31,47 @@ class BlockedEdgeCertificate(NamedTuple):
         }
 
 
-def blocked_edge(leftover: Graph, k: int) -> BlockedEdgeCertificate | None:
-    """The first blocked edge of a leftover graph, if any.
+def blocked_edge(design: PartialDesign) -> BlockedEdgeCertificate | None:
+    """The first blocked edge of a valid design's leftover, if any.
 
-    Edges are scanned in sorted order, low end first; a hit certifies
-    uncompletability.
+    The edge is the first that a scan of the leftover's edges in sorted
+    order, low end first, would find; a hit certifies uncompletability.
+    The leftover is never built: the degrees come from the stars, and among
+    the vertices of leftover degree 1..k-1 the first pair that no star
+    covers is the edge.  An untouched vertex has degree n - 1, so it takes
+    part only when n <= k.  Work and memory are O(n + k * stars).
     """
-    degrees = leftover.degrees()
-    for a, row in enumerate(leftover.rows):
-        if degrees[a] <= k - 1:
-            for b in row[bisect_right(row, a):]:
-                if degrees[b] <= k - 1:
-                    return BlockedEdgeCertificate((a, b), (degrees[a], degrees[b]))
+    n, k, stars = design.n, design.k, design.stars
+    degree = [n - 1] * n
+    for center, leaves in stars:
+        degree[center] -= k
+        for leaf in leaves:
+            degree[leaf] -= 1
+    low = [v for v, d in enumerate(degree) if 0 < d < k]
+    is_low = set(low)
+    # the covered edges {a, b}, a < b, between low vertices, keyed a * n + b
+    covered = set()
+    for center, leaves in stars:
+        if center in is_low:
+            for leaf in leaves:
+                if leaf in is_low:
+                    covered.add(center * n + leaf if center < leaf else leaf * n + center)
+    # each pair passed over is covered, so the scan is O(len(low) + k * stars)
+    for i, a in enumerate(low):
+        for j in range(i + 1, len(low)):
+            b = low[j]
+            if a * n + b not in covered:
+                return BlockedEdgeCertificate((a, b), (degree[a], degree[b]))
     return None
 
 
 def check_blocked_edge(design: PartialDesign) -> BlockedEdgeCertificate | None:
-    """The first blocked edge of the design's leftover, if any."""
-    return blocked_edge(design.leftover(), design.k)
+    """The first blocked edge of the design's leftover, if any.
+
+    Validates the design first, then calls :func:`blocked_edge`.
+    """
+    design._require_valid()
+    return blocked_edge(design)
 
 
 def gen_uncompletable(n: int, k: int) -> PartialDesign:

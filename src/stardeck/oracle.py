@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .designs import Graph, PartialDesign, Star
+from .designs import Graph, PartialDesign, Star, is_admissible
 from .extremal import blocked_edge
 from .realize import Infeasible, construct, decompose_2stars
 
@@ -95,21 +95,24 @@ def decompose_exhaustive(
 
 
 def decide(
-    leftover: Graph, k: int, budget: int, trace: list[str],
+    design: PartialDesign, budget: int, trace: list[str],
 ) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
-    """Can the leftover graph be decomposed into k-stars?
+    """Can the design's leftover graph be decomposed into k-stars?
 
     Returns ``(outcome, stars, reason, certificate)``: "yes" with the stars,
     "no" with a reason and certificate, or "unknown" with a reason.  Tries,
-    in order, a blocked edge, the 2-star pairing (k = 2, which decides),
-    :func:`construct`, and the exhaustive search under ``budget``.  Each
-    step taken is appended to ``trace``.  The edge count must be a multiple
-    of k.
+    in order, a blocked edge, read off the stars, and then, on the leftover
+    graph built only from here on, the 2-star pairing (k = 2, which
+    decides), :func:`construct`, and the exhaustive search under ``budget``.
+    Each step taken is appended to ``trace``.  The design must be valid and
+    k must divide C(n, 2).
     """
-    cert = blocked_edge(leftover, k)
+    k = design.k
+    cert = blocked_edge(design)
     if cert is not None:
         trace.append("certificate=blocked-edge")
         return "no", None, "blocked-edge", cert.to_doc()
+    leftover = design._leftover()
     if k == 2:
         pairing = decompose_2stars(leftover)
         if isinstance(pairing, Infeasible):
@@ -142,11 +145,11 @@ def decide(
 def has_completion(design: PartialDesign, budget: int = DEFAULT_BUDGET) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
-    "no" when k does not divide the leftover's edge count; otherwise the
-    answer of :func:`decide`.  "unknown" comes only when the search runs out
-    of its node budget.
+    Validates the design, then answers "no" when k does not divide C(n, 2),
+    the edge count of K_n; otherwise the answer of :func:`decide`.
+    "unknown" comes only when the search runs out of its node budget.
     """
-    leftover = design.leftover()
-    if leftover.edge_count % design.k != 0:
+    design._require_valid()
+    if not is_admissible(design.n, design.k):
         return "no"
-    return decide(leftover, design.k, budget, [])[0]
+    return decide(design, budget, [])[0]

@@ -20,6 +20,7 @@ from stardeck import (
     design_from_doc,
     dumps_design,
     gen_uncompletable,
+    has_completion,
 )
 from stardeck.cli import main
 
@@ -343,6 +344,28 @@ def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
         assert err.startswith(f"cannot read {path}: ")
 
 
+_INVALID_ORDERS = {
+    '{"n":5,"k":0,"stars":[]}': "k must be >= 2, got 0",
+    '{"n":5,"k":1,"stars":[]}': "k must be >= 2, got 1",
+    '{"n":0,"k":3,"stars":[]}': "n must be >= 1, got 0",
+}
+
+
+@pytest.mark.parametrize("command", ["complete", "oracle"])
+@pytest.mark.parametrize("text", list(_INVALID_ORDERS))
+def test_invalid_order_or_star_size_is_one_line_input_error(capsys, tmp_path,
+                                                            command, text):
+    # validation comes before any arithmetic on n or k
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    message = "invalid design: " + _INVALID_ORDERS[text]
+    assert capsys.readouterr() == ("", message + "\n")
+    with pytest.raises(ValueError) as info:
+        has_completion(design_from_doc(json.loads(text)))
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("command, step", [
     ("complete", "complete"), ("oracle", "has_completion"), ("precentral", "minimal"),
 ])
@@ -392,6 +415,36 @@ def test_order_past_the_recursion_limit_is_never_a_negative_answer(tmp_path, com
         assert len(design_from_doc(json.loads(out.stdout)).stars) == n * (n - 1) // 2 // k
     else:
         assert out.stdout == "yes\n"
+
+
+# A child's peak RSS starts at its parent's RSS at the fork, so the command
+# runs under a small launcher, which reaps it with os.wait4 and prints its
+# exit code and peak RSS in KB; the test process may be large by then.
+_PEAK_RSS = (
+    "import os, subprocess, sys\n"
+    "with open(sys.argv[1], 'w') as out:\n"
+    "    proc = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)\n"
+    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4")
+def test_large_order_refutation_runs_in_small_memory(tmp_path):
+    # the blocked edge is read off the stars; building this design's
+    # O(n^2) leftover takes about 290 MB
+    generated, printed = tmp_path / "blocked.json", tmp_path / "out.txt"
+    for argv, path, want in (
+        (["gen-uncompletable", "6001", "3"], generated, 0),
+        (["complete", str(generated)], printed, 1),
+    ):
+        out = _child(["-c", _PEAK_RSS, str(path), sys.executable, "-m", "stardeck.cli", *argv])
+        code, peak_kb = map(int, out.stdout.split())
+        assert code == want and peak_kb < 100 * 1024, (argv, code, peak_kb)
+    assert printed.read_text() == (
+        "impossible: blocked-edge\n"
+        "blocked edge {0,1} with leftover degrees 2,2\n"
+    )
 
 
 # ---------------------------------------------------------------------- output

@@ -816,17 +816,29 @@ def test_over_threshold_blocked_edge():
     _k4_leftover_design(),  # realize fails, the oracle refutes
 ])
 def test_over_threshold_builds_one_leftover(design, monkeypatch):
-    calls = []
-    original = PartialDesign.leftover
+    # a blocked edge is read off the stars, so that design builds none;
+    # every design is validated once per call
+    calls = {"validate": [], "_leftover": []}
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
+    def spy(name):
+        original = getattr(PartialDesign, name)
 
-    monkeypatch.setattr(PartialDesign, "leftover", counted)
+        def counted(self):
+            calls[name].append(self)
+            return original(self)
+
+        monkeypatch.setattr(PartialDesign, name, counted)
+
+    spy("validate")
+    spy("_leftover")
     assert len(design.stars) > threshold_u(design.n, design.k)
-    complete(design, oracle_budget=1000)
-    assert calls == [design]
+    r = complete(design, oracle_budget=1000)
+    builds = [] if r.reason == "blocked-edge" else [design]
+    assert calls == {"validate": [design], "_leftover": builds}
+    calls["validate"].clear()
+    calls["_leftover"].clear()
+    has_completion(design, budget=1000)
+    assert calls == {"validate": [design], "_leftover": builds}
 
 
 def _odd_component_design() -> PartialDesign:

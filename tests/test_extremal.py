@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stardeck import (
     PartialDesign,
@@ -12,12 +13,13 @@ from stardeck import (
     complete,
     decompose_exhaustive,
     gen_uncompletable,
+    has_completion,
     is_admissible,
     threshold_u,
 )
 from stardeck.extremal import blocked_edge
 
-from conftest import graphs, sorted_edges
+from conftest import seeded_design, sorted_edges
 
 
 def test_gen_order_six_exact_shape():
@@ -72,18 +74,69 @@ def test_no_certificate_on_full_design():
     assert check_blocked_edge(full) is None
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(min_value=2, max_value=5), graphs(max_n=14))
-def test_blocked_edge_is_the_first_in_a_sorted_edge_scan(k, g):
-    degrees = g.degrees()
-    first = next(((a, b) for a, b in sorted_edges(g)
-                  if degrees[a] < k and degrees[b] < k), None)
-    cert = blocked_edge(g, k)
-    if first is None:
-        assert cert is None
-    else:
-        assert cert.edge == first
-        assert cert.degrees == (degrees[first[0]], degrees[first[1]])
+def _leftover_scan(design):
+    """The reference: the first edge of the design's leftover, in sorted
+    order, whose ends both have leftover degree below k, with those
+    degrees, or None."""
+    left = design.leftover()
+    degrees = left.degrees()
+    for a, b in sorted_edges(left):
+        if degrees[a] < design.k and degrees[b] < design.k:
+            return (a, b), (degrees[a], degrees[b])
+    return None
+
+
+def _scanned_designs():
+    """Seeded designs with u + 1 to u + 3 stars at every admissible order
+    2k <= n <= 40, the extremal design at every admissible order below 122,
+    and the empty designs of order n <= k, for k = 2..6."""
+    for k in range(2, 7):
+        for n in range(2 * k, 41):
+            if not is_admissible(n, k):
+                continue
+            for extra in (1, 2, 3):
+                for seed in (0, 1):
+                    try:
+                        yield seeded_design(n, k, threshold_u(n, k) + extra,
+                                            seed=1000 * n + 10 * k + seed)
+                    except ValueError:  # no room for another star
+                        pass
+        for n in range(2, 122):
+            if is_admissible(n, k):
+                yield gen_uncompletable(n, k)
+        for n in range(1, k + 1):
+            yield PartialDesign(n, k)
+
+
+def test_blocked_edge_is_the_first_in_a_sorted_edge_scan():
+    found = Counter()
+    for d in _scanned_designs():
+        cert = blocked_edge(d)
+        ref = _leftover_scan(d)
+        if ref is None:
+            assert cert is None, d
+        else:
+            assert (cert.edge, cert.degrees) == ref, d
+        found[cert is not None] += 1
+    # 289 blocked, 16 of them seeded, and 443 not
+    assert found[True] >= 280 and found[False] >= 400, found
+
+
+def _no_leftover(self):
+    raise AssertionError("built the leftover graph")
+
+
+def test_large_order_refutations_build_no_leftover(monkeypatch):
+    monkeypatch.setattr(PartialDesign, "leftover", _no_leftover)
+    monkeypatch.setattr(PartialDesign, "_leftover", _no_leftover)
+    d = gen_uncompletable(30001, 3)
+    doc = {"blocked_edge": [0, 1], "degrees": [2, 2]}
+    r = complete(d)
+    assert (r.outcome, r.reason, r.certificate) == ("impossible", "blocked-edge", doc)
+    assert has_completion(d) == "no"
+    assert check_blocked_edge(d).to_doc() == doc
+    # 20000 is not admissible for k = 3: C(20000, 2) = 199,990,000 = 1 mod 3
+    assert has_completion(PartialDesign(20000, 3)) == "no"
 
 
 def test_generated_designs_certified_on_grid():
