@@ -13,13 +13,13 @@ when the search budget runs out, unknown.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from .designs import (
     Graph,
     PartialDesign,
     Star,
+    _members,
     _reduction_vertex,
     _star,
     design_to_doc,
@@ -82,46 +82,34 @@ def pad_to_threshold(design: PartialDesign) -> PartialDesign:
     return PartialDesign(n, k, tuple(stars))
 
 
-def _pad(k: int, rows: list[tuple[int, ...]], stars: list[Star], target: int,
+def _pad(k: int, rows: list[int], stars: list[Star], target: int,
          trace: list[str]) -> None:
     """The greedy padding of :func:`pad_to_threshold`, on leftover rows.
 
     Appends stars to ``stars`` until there are ``target`` of them, and
-    replaces each row they touch by the row without their edges.  A vertex
-    of degree 0 is never used.  Notes ``pad+N`` in ``trace`` when N > 0.
+    clears their edges from ``rows``.  A vertex of degree 0 is never used.
+    Notes ``pad+N`` in ``trace`` when N > 0.
     """
     if len(stars) >= target:
         return
     trace.append(f"pad+{target - len(stars)}")
     n = len(rows)
-    # each vertex's partners along the added stars' edges, still in its row
-    gone: dict[int, list[int]] = {}
+    labels = [*range(n)]
     center = 0
     while len(stars) < target:
         # free degrees never rise, so the smallest vertex with room never falls
-        while center < n and len(rows[center]) - len(gone.get(center, ())) < k:
+        while center < n and rows[center].bit_count() < k:
             center += 1
         if center == n:
             raise CompletionDefect(
                 f"padding stuck at {len(stars)} of {target} stars (n={n}, k={k})"
             )
-        # the pointer never returns, so the center's row is trimmed here;
-        # edges that later centers take from it leave its row at the end
-        row = _without(rows[center], gone.pop(center, ()))
-        leaves, rows[center] = row[:k], row[k:]
+        leaves = _members(rows[center], labels)[:k]
+        # the k lowest bits are the bits up to the last leaf
+        rows[center] &= -(2 << leaves[-1])
         for leaf in leaves:
-            gone.setdefault(leaf, []).append(center)
-        stars.append(_star(center, leaves))
-    for v, partners in gone.items():
-        rows[v] = _without(rows[v], partners)
-
-
-def _without(row: tuple[int, ...], partners: Iterable[int]) -> tuple[int, ...]:
-    """The ascending row with the given members deleted."""
-    out = [*row]
-    for w in sorted(partners, reverse=True):
-        del out[bisect_left(out, w)]
-    return tuple(out)
+            rows[leaf] ^= 1 << center
+        stars.append(_star(center, tuple(leaves)))
 
 
 def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
@@ -194,7 +182,7 @@ def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
     assert 0 <= boosted <= n - len(centers)
     rest = sorted(
         (v for v in vertices if central[v] == 0),
-        key=lambda v: (-len(leftover.rows[v]), v),
+        key=lambda v: (-leftover.rows[v].bit_count(), v),
     )
     values = [0] * leftover.n
     for v in vertices:
@@ -318,7 +306,6 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
     n, k = design.n, design.k
     stars = [*design.stars]
     rows = [*leftover.rows]
-    del leftover  # so the rows that padding replaces are freed
     _pad(k, rows, stars, threshold_u(n, k), trace)
     x = _reduction_vertex(n, stars) if n % k == 1 else None
     own: list[Star] = []
@@ -331,22 +318,21 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
         trace.append(f"reduce@{x}")
         own = [s for s in stars if s.center == x]
         stars = [s for s in stars if s.center != x]
-        free = rows[x]
+        free = _members(rows[x], range(n))
         assert len(free) % k == 0
-        own.extend(_star(x, free[i:i + k]) for i in range(0, len(free), k))
-        rows[x] = ()
+        own.extend(_star(x, tuple(free[i:i + k])) for i in range(0, len(free), k))
+        rows[x] = 0
         for v in free:
-            rows[v] = _without(rows[v], (x,))
+            rows[v] ^= 1 << x
         steps = []
         _pad(k, rows, stars, threshold_u(n - 1, k), steps)
     built = _construction(k, stars, rows, x, steps)
-    del rows  # free the O(n^2) leftover before the full star list is built
     if x is not None:
         trace.append("recurse{" + ";".join(steps) + "}")
     return [*stars, *built, *own]
 
 
-def _construction(k: int, stars: list[Star], rows: list[tuple[int, ...]],
+def _construction(k: int, stars: list[Star], rows: list[int],
                   isolated: int | None, trace: list[str]) -> list[Star]:
     """Stars that decompose the leftover ``rows`` of a non-reducible design.
 

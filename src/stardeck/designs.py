@@ -9,6 +9,7 @@ when the stars cover every edge of the complete graph K_n.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from operator import itemgetter
 from random import Random
 from typing import Iterable, Sequence
@@ -84,37 +85,33 @@ def _rebuild(cls: type, values: tuple) -> _Record:
 
 
 class Graph(_Record):
-    """Immutable simple graph on vertices 0..n-1, stored as adjacency rows.
+    """Immutable simple graph on vertices 0..n-1, stored as adjacency bitsets.
 
-    ``rows[v]`` holds v's neighbors in ascending order.
+    Bit y of ``rows[v]`` is set exactly when {v, y} is an edge.
     """
 
     __slots__ = ("n", "rows")
     __match_args__ = __slots__
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
+        rows = [0] * n
         for a, b in edges:
             if a == b:
                 raise ValueError(f"loop at vertex {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            norm.add((a, b) if a < b else (b, a))
-        rows: list[list[int]] = [[] for _ in range(n)]
-        # ascending edges fill every row in ascending order
-        for a, b in sorted(norm):
-            rows[a].append(b)
-            rows[b].append(a)
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
-    def _of_rows(cls, n: int, rows: tuple[tuple[int, ...], ...]) -> "Graph":
-        """A graph on rows the caller built symmetric and ascending; no check."""
+    def _of_rows(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """A graph on rows the caller built symmetric and loop-free; no check."""
         return _rebuild(cls, (n, rows))
 
     @classmethod
@@ -123,11 +120,22 @@ class Graph(_Record):
 
     @property
     def edge_count(self) -> int:
-        return sum(map(len, self.rows)) // 2
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def degrees(self) -> tuple[int, ...]:
         # through a list, so the tuple is allocated at its exact size
-        return tuple([*map(len, self.rows)])
+        return tuple([*map(int.bit_count, self.rows)])
+
+
+def _members(mask: int, labels: Sequence[int]) -> list[int]:
+    """The labels at the set bits of ``mask``, ascending by bit.
+
+    Returns the caller's label objects themselves, so the many lists and
+    stars built from one row share its ints.
+    """
+    # bin() reversed puts bit y at index y; as selectors, "0" must be false
+    bits = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"0", b"\0"))
+    return [*compress(labels, bits)]
 
 
 def is_admissible(n: int, k: int) -> bool:
@@ -172,7 +180,12 @@ class PartialDesign(_Record):
     def __init__(self, n: int, k: int, stars: Iterable[Star] = ()) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "stars", tuple(stars))
+        stars = tuple(stars)
+        # a plain (center, leaves) pair becomes a Star, with its leaves
+        # sorted, so validation and completion read the same stars
+        if {*map(type, stars)} - {Star}:
+            stars = tuple([s if isinstance(s, Star) else Star(*s) for s in stars])
+        object.__setattr__(self, "stars", stars)
 
     def validate(self) -> list[str]:
         """All rule violations, empty when the design is valid."""
@@ -222,24 +235,16 @@ class PartialDesign(_Record):
 
     def _leftover(self) -> Graph:
         """:meth:`leftover` of a design the caller has already validated."""
-        vertices = list(range(self.n))  # rows share these int objects
-        # each vertex's covered partners, plus the vertex itself
-        covered = [{v} for v in vertices]
+        n = self.n
+        full = (1 << n) - 1
+        rows = [full ^ (1 << v) for v in range(n)]
         for center, leaves in self.stars:
-            covered[center].update(leaves)
+            mask = 0
             for leaf in leaves:
-                covered[leaf].add(center)
-        # a row is the vertex list with the covered ones deleted, last first,
-        # frozen from a list so the tuple gets its exact size: tuple() of an
-        # iterator without a length hint allocates 10 slots and resizes, which
-        # strands small tuples on the interpreter's free lists
-        rows = []
-        for cover in covered:
-            row = vertices[:]
-            for x in sorted(cover, reverse=True):
-                del row[x]
-            rows.append(tuple(row))
-        return Graph._of_rows(self.n, tuple(rows))
+                mask |= 1 << leaf
+                rows[leaf] ^= 1 << center
+            rows[center] ^= mask
+        return Graph._of_rows(n, tuple(rows))
 
     def is_reducible(self) -> bool:
         """True iff the design admits the one-vertex reduction step.
@@ -274,20 +279,20 @@ def random_design(n: int, k: int, m: int, rng: Random) -> PartialDesign:
     if n < 1 or k < 2 or m < 0:
         raise ValueError("random_design requires n >= 1, k >= 2, m >= 0")
     vertices = list(range(n))  # sized before it is filled, so a huge n fails here
-    adj: list[set[int]] = [set(vertices) - {v} for v in vertices]
+    adj = [*PartialDesign(n, k)._leftover().rows]
     stars: list[Star] = []
     for i in range(m):
-        eligible = [v for v in vertices if len(adj[v]) >= k]
+        eligible = [v for v in vertices if adj[v].bit_count() >= k]
         if not eligible:
             raise ValueError(
                 f"cannot place star {i + 1} of {m}:"
                 f" no vertex has {k} uncovered incident edges"
             )
         center = rng.choice(eligible)
-        leaves = rng.sample(sorted(adj[center]), k)
+        leaves = rng.sample(_members(adj[center], vertices), k)
         for leaf in leaves:
-            adj[center].discard(leaf)
-            adj[leaf].discard(center)
+            adj[center] ^= 1 << leaf
+            adj[leaf] ^= 1 << center
         stars.append(Star(center, leaves))
     return PartialDesign(n, k, tuple(stars))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .designs import Graph, PartialDesign, Star, is_admissible
+from .designs import Graph, PartialDesign, Star, _members, is_admissible
 from .extremal import blocked_edge
 from .realize import Infeasible, construct, decompose_2stars
 
@@ -41,7 +41,7 @@ def decompose_exhaustive(
     n = graph.n
     if graph.edge_count % k != 0:
         return OracleResult("none", None, 0)
-    adj: list[set[int]] = [set(row) for row in graph.rows]
+    adj: list[set[int]] = [set(_members(row, range(n))) for row in graph.rows]
     stars: list[Star] = []
 
     def blocked(x: int) -> bool:

@@ -10,7 +10,6 @@ fixed denominator 2k.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 from .designs import Graph
@@ -116,14 +115,14 @@ def find_bad(p: VertexFunction, graph: Graph, k: int) -> BadVertex | BadEdge | N
     for y in range(graph.n):
         if degrees[y] < k and values[y] == 1:
             return BadVertex(y)
-    # the first bad edge has the smallest value-0 low end, then the smallest
-    # value-0 high end among its ascending neighbors
-    for a in range(graph.n):
-        if values[a] == 0:
-            row = graph.rows[a]
-            for b in row[bisect_right(row, a):]:
-                if values[b] == 0:
-                    return BadEdge(a, b)
+    # the first bad edge has the smallest value-0 low end, then the lowest
+    # value-0 bit above it in that end's row
+    zeros = [y for y in range(graph.n) if values[y] == 0]
+    zero_mask = sum(1 << y for y in zeros)
+    for a in zeros:
+        later = graph.rows[a] & zero_mask & -(2 << a)
+        if later:
+            return BadEdge(a, (later & -later).bit_length() - 1)
     return None
 
 

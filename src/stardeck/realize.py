@@ -10,11 +10,10 @@ decides on its own, with an odd component as its witness.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import filterfalse
 from typing import NamedTuple
 
-from .designs import Graph, Star, _star
+from .designs import Graph, Star, _members, _star
 from .precentral import Precentral, VertexFunction, suitable, vertex_values
 
 
@@ -40,8 +39,9 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
     edge when one is left over.
     """
     n = graph.n
-    # paired edges {a, b}, a < b, keyed by a * n + b
-    used: set[int] = set()
+    labels = [*range(n)]
+    # each vertex's edges not yet paired
+    free = [*graph.rows]
     seen = [False] * n
     stars: list[Star] = []
     for root in range(n):
@@ -54,29 +54,30 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
         while qi < len(order):
             w = order[qi]
             qi += 1
-            for y in graph.rows[w]:
+            for y in _members(graph.rows[w], labels):
                 if not seen[y]:
                     seen[y] = True
                     parent[y] = w
                     order.append(y)
-        comp_edge_count = sum(len(graph.rows[v]) for v in order) // 2
+        comp_edge_count = sum(graph.rows[v].bit_count() for v in order) // 2
         if comp_edge_count % 2 != 0:
             return Infeasible("odd-component", frozenset(order))
         for v in reversed(order):
             par = parent[v]
-            pending = [
-                y for y in graph.rows[v]
-                if y != par and (v * n + y if v < y else y * n + v) not in used
-            ]
+            # the parent edge stays free until v is done: only v and its
+            # parent can pair it, and the parent comes later
+            up = 0 if par is None else 1 << par
+            pending = _members(free[v] & ~up, labels)
             if len(pending) % 2 == 1:
                 assert par is not None  # root parity is even by construction
                 pending.append(par)
+                up = 0
+            free[v] &= up
+            for y in pending:
+                free[y] ^= 1 << v
             for i in range(0, len(pending), 2):
-                y1, y2 = pending[i], pending[i + 1]
-                used.add(v * n + y1 if v < y1 else y1 * n + v)
-                used.add(v * n + y2 if v < y2 else y2 * n + v)
-                stars.append(Star(v, (y1, y2)))
-    assert len(used) == graph.edge_count
+                stars.append(Star(v, (pending[i], pending[i + 1])))
+    assert not any(free)
     return stars
 
 
@@ -111,9 +112,10 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
             return True
         return False
 
+    labels = [*range(n)]
     unplaced: list[tuple[int, int]] = []
     for a, row in enumerate(graph.rows):
-        later = row[bisect_right(row, a):]
+        later = _members(row & -(2 << a), labels)
         # used[a] never falls, so a takes exactly its row's leading edges
         taken = later[:cap[a] - used[a]]
         holder[a].extend(taken)
@@ -152,7 +154,7 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
         return Infeasible("cut", witness)
 
     stars: list[Star] = []
-    for v in range(n):
+    for v in labels:
         assert used[v] == cap[v]
         others = tuple(sorted(holder[v]))
         holder[v].clear()  # release the search state as the stars replace it

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from itertools import combinations
 from typing import Iterable
 
@@ -55,13 +54,15 @@ def seeded_design_at_most_u(n: int, k: int, seed: int) -> PartialDesign:
 
 # --- reference checkers: independent of the constructions they check --------
 
+def neighbors(graph: Graph, v: int) -> list[int]:
+    """v's neighbors in ascending order, read from its row bit by bit."""
+    row = graph.rows[v]
+    return [y for y in range(graph.n) if row >> y & 1]
+
+
 def sorted_edges(graph: Graph) -> list[tuple[int, int]]:
     """The edges in ascending order, as a list the caller may keep."""
-    return [
-        (a, b)
-        for a, row in enumerate(graph.rows)
-        for b in row[bisect_right(row, a):]
-    ]
+    return [(a, b) for a in range(graph.n) for b in neighbors(graph, a) if a < b]
 
 
 def delta_t(graph: Graph, k: int, p: VertexFunction, subset: Iterable[int]) -> int:
@@ -80,7 +81,7 @@ def delta_t(graph: Graph, k: int, p: VertexFunction, subset: Iterable[int]) -> i
         raise ValueError("subset must be a proper subset of the vertices")
     values = vertex_values(p, graph.n)
     # an edge with both ends in t is counted from its lower end only
-    supply = sum(1 for x in t for y in graph.rows[x] if x < y or y not in t)
+    supply = sum(1 for x in t for y in neighbors(graph, x) if x < y or y not in t)
     demand = k * sum(values[x] for x in t)
     return supply - demand
 
@@ -116,7 +117,7 @@ def verify_decomposition(
     Never raises on malformed stars; they simply fail the check.
     """
     # each vertex's edges not yet covered by a star
-    uncovered = [set(row) for row in graph.rows]
+    uncovered = [set(neighbors(graph, v)) for v in range(graph.n)]
     counts = [0] * graph.n
     for center, leaves in stars:
         if not (0 <= center < graph.n):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -445,6 +446,25 @@ def test_large_order_refutation_runs_in_small_memory(tmp_path):
         "impossible: blocked-edge\n"
         "blocked edge {0,1} with leftover degrees 2,2\n"
     )
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4")
+@pytest.mark.parametrize("argv, sha256", [
+    (["gen-random", "3001", "3", "10", "1"],
+     "c9f861e7ae84dbf816097e69dbbee3d5fc4c52a3de7f86b14cfc271e8bc90c8d"),
+    (["precentral", "EMPTY"],
+     "d3662c0d780e0d984c281383a2e9f3509041ed2c1caa261a15475855bb97cfd7"),
+], ids=["gen-random", "precentral"])
+def test_large_order_leftover_commands_run_in_small_memory(tmp_path, argv, sha256):
+    # the leftover and the generator keep one n-bit row per vertex, 1.1 MB
+    # at n = 3001; the digests pin the draws and the report at that order
+    empty, printed = tmp_path / "empty.json", tmp_path / "out.txt"
+    empty.write_text(dumps_design(PartialDesign(3001, 3)))
+    argv = [str(empty) if arg == "EMPTY" else arg for arg in argv]
+    out = _child(["-c", _PEAK_RSS, str(printed), sys.executable, "-m", "stardeck.cli", *argv])
+    code, peak_kb = map(int, out.stdout.split())
+    assert code == 0 and peak_kb < 50 * 1024, (argv, code, peak_kb)
+    assert hashlib.sha256(printed.read_bytes()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------- output

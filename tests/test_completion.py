@@ -39,6 +39,7 @@ from stardeck.completion import _merged
 
 from conftest import (
     graphs,
+    neighbors,
     seeded_design,
     seeded_design_at_most_u,
     sorted_edges,
@@ -126,7 +127,7 @@ def _pad_with_neighbor_sets(design: PartialDesign) -> PartialDesign:
     """The greedy padding on one neighbor set per vertex, as a reference."""
     leftover = design.leftover()
     n, k = design.n, design.k
-    adj = [set(leftover.rows[v]) for v in range(n)]
+    adj = [set(neighbors(leftover, v)) for v in range(n)]
     stars = list(design.stars)
     while len(stars) < threshold_u(n, k):
         center = next(v for v in range(n) if len(adj[v]) >= k)
@@ -247,16 +248,16 @@ def _decompose_2stars_reference(graph: Graph) -> list[Star] | Infeasible:
         while qi < len(order):
             w = order[qi]
             qi += 1
-            for y in graph.rows[w]:
+            for y in neighbors(graph, w):
                 if not seen[y]:
                     seen[y] = True
                     parent[y] = w
                     order.append(y)
-        if sum(len(graph.rows[v]) for v in order) // 2 % 2 != 0:
+        if sum(len(neighbors(graph, v)) for v in order) // 2 % 2 != 0:
             return Infeasible("odd-component", frozenset(order))
         for v in reversed(order):
             par = parent[v]
-            pending = [y for y in graph.rows[v]
+            pending = [y for y in neighbors(graph, v)
                        if y != par and (min(v, y), max(v, y)) in unused]
             for i in range(0, len(pending) - 1, 2):
                 y1, y2 = pending[i], pending[i + 1]
@@ -466,6 +467,23 @@ def test_completion_shares_its_label_objects():
     assert len(labels) <= 4 * n
 
 
+def test_plain_pair_stars_complete():
+    d = PartialDesign(5, 2, [(0, [1, 2])])
+    r = complete(d)
+    _assert_completed(d, r)
+    assert Star(0, (1, 2)) in r.design.stars
+
+
+def test_plain_pair_with_an_unsorted_bad_leaf_is_invalid():
+    # the range check reads the first and last leaf, so leaves must be sorted
+    d = PartialDesign(5, 2, [(0, (7, 1))])
+    assert d.validate() == ["star 0: leaf 7 out of range"]
+    with pytest.raises(ValueError, match="leaf 7 out of range"):
+        complete(d)
+    with pytest.raises(ValueError, match="leaf 7 out of range"):
+        has_completion(d)
+
+
 def test_complete_k2_route():
     d = PartialDesign(5, 2)
     r = complete(d)
@@ -531,7 +549,7 @@ def test_suitable_regime_leftovers_satisfy_the_degree_lemmas(monkeypatch):
         low = [v for v in vertices if degrees[v] < 2 * k]
         assert len([v for v in low if degrees[v] <= k]) <= 1, d
         if len(low) >= 3:
-            assert all(degrees[b] >= 2 * k for a in low for b in graph.rows[a]), d
+            assert all(degrees[b] >= 2 * k for a in low for b in neighbors(graph, a)), d
         assert find_bad(p, graph, k) is None, d
     assert steps["validated"] >= 180  # one per design
     assert steps["pad"] >= 50 and steps["reduce"] >= 50
@@ -949,12 +967,14 @@ def test_over_threshold_differential_fuzz():
 # ------------------------------------------------- boundary and relabel families
 
 
-def test_extremal_designs_minus_one_star_complete():
+def _complete_extremal_minus_one_star(top: int) -> tuple[int, int]:
+    """Complete gen_uncompletable(n, k) less each one star, for k = 2..6 and
+    2k <= n <= top; returns the designs completed and how many reduced."""
     # gen_uncompletable(n, k) less any one star has exactly u stars, so it
     # lies in the guarantee; for n = 1 (mod k) only the reduction completes it
     count = reduced = 0
     for k in range(2, 7):
-        for n in range(2 * k, 41):
+        for n in range(2 * k, top + 1):
             if not is_admissible(n, k):
                 continue
             stars = gen_uncompletable(n, k).stars
@@ -966,7 +986,16 @@ def test_extremal_designs_minus_one_star_complete():
                 assert reduces == (n % k == 1), (n, k, i, r.trace)
                 count += 1
                 reduced += reduces
-    assert (count, reduced) == (964, 444)
+    return count, reduced
+
+
+def test_extremal_designs_minus_one_star_complete():
+    assert _complete_extremal_minus_one_star(40) == (964, 444)
+
+
+@pytest.mark.slow
+def test_extremal_designs_minus_one_star_complete_below_100():
+    assert _complete_extremal_minus_one_star(99) == (6199, 2995)
 
 
 def _relabeled(d: PartialDesign, rng: random.Random) -> PartialDesign:

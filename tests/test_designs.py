@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -28,7 +29,7 @@ from stardeck import (
     random_design,
     threshold_u,
 )
-from stardeck.designs import _reduction_vertex
+from stardeck.designs import _members, _reduction_vertex
 
 from conftest import seeded_design, sorted_edges, threshold_u_ab
 
@@ -40,8 +41,8 @@ def test_graph_from_edges_deduplicates_and_orders():
     g = Graph.from_edges(4, [(1, 0), (0, 1), (3, 2)])
     assert sorted_edges(g) == [(0, 1), (2, 3)]
     assert g.edge_count == 2
-    assert 0 in g.rows[1] and 2 not in g.rows[0]
-    assert g.rows[0] == (1,)
+    assert g.rows[1] >> 0 & 1 and not g.rows[0] >> 2 & 1
+    assert g.rows[0] == 1 << 1
     assert g.degrees() == (1, 1, 1, 1)
 
 
@@ -62,8 +63,8 @@ def test_graph_normalizes_any_edge_collection(wrap):
     pairs = [(2, 1), (0, 3), (3, 0)]
     for g in (Graph(4, wrap(pairs)), Graph.from_edges(4, wrap(pairs))):
         assert sorted_edges(g) == [(0, 3), (1, 2)]
-        assert g.rows == ((3,), (2,), (1,), (0,))
-        assert g.rows[3] == (0,)
+        assert g.rows == (1 << 3, 1 << 2, 1 << 1, 1 << 0)
+        assert g.rows[3] == 1 << 0
 
 
 @pytest.mark.parametrize("wrap", [frozenset, set, list])
@@ -76,6 +77,19 @@ def test_graph_normalizes_any_edge_collection(wrap):
 def test_graph_rejects_bad_pair_in_any_collection(wrap, pair, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         Graph(4, wrap([(0, 1), pair]))
+
+
+def test_members_reads_the_set_bits_as_the_callers_labels():
+    rng = random.Random(23)
+    for n in (1, 2, 63, 64, 65, 257, 600, 1300):
+        labels = [*range(n)]
+        masks = [0, 1, 1 << (n - 1), rng.getrandbits(n),
+                 rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)]
+        for mask in masks:
+            got = _members(mask, labels)
+            assert got == [y for y in range(n) if mask >> y & 1]
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert all(y is labels[y] for y in got)
 
 
 def test_sorted_edges_returns_a_fresh_list():
@@ -106,6 +120,15 @@ def test_star_leaves_are_always_a_sorted_tuple(leaves):
         s.leaves = (4, 5, 6)  # type: ignore[misc]
     assert repr(s) == "Star(center=0, leaves=(1, 2, 3))"
     assert pickle.loads(pickle.dumps(s)) == s and copy.copy(s) == s
+
+
+def test_plain_pairs_become_stars():
+    d = PartialDesign(5, 2, [(0, [2, 1]), [1, (4, 3)]])
+    assert d.stars == (Star(0, (1, 2)), Star(1, (3, 4)))
+    assert all(type(s) is Star for s in d.stars)
+    assert d.validate() == []
+    star = Star(0, (1, 2))
+    assert PartialDesign(5, 2, [star]).stars[0] is star
 
 
 def test_duplicated_json_leaf_counts_once():
@@ -280,6 +303,22 @@ def test_repeated_leftover_holds_no_memory():
     assert grown < 1000
 
 
+def _peak_mb(build) -> float:
+    """The tracemalloc peak, in MB, of one call of ``build``."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_order_leftover_and_random_design_take_small_memory():
+    # one n-bit row per vertex: about n^2 / 8 bytes, 1.1 MB at n = 3001
+    assert _peak_mb(lambda: PartialDesign(3001, 3).leftover()) < 5
+    assert _peak_mb(lambda: random_design(3001, 3, 10, random.Random(1))) < 5
+
+
 def test_leftover_rejects_invalid_design():
     d = PartialDesign(
         6, 3, (Star(0, frozenset({1, 2, 3})), Star(2, frozenset({0, 4, 5})))
@@ -309,12 +348,12 @@ def test_leftover_is_complete_graph_minus_covered_pairs(seed):
     d = random_design(n, k, rng.randint(0, threshold_u(n, k) + 1), rng)
     covered = {(min(s.center, x), max(s.center, x)) for s in d.stars for x in s.leaves}
     pairs = [e for e in combinations(range(n), 2) if e not in covered]
-    rows: list[list[int]] = [[] for _ in range(n)]
+    rows = [0] * n
     for a, b in pairs:
-        rows[a].append(b)
-        rows[b].append(a)
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
     left = d.leftover()
-    assert left.rows == tuple(tuple(sorted(row)) for row in rows)
+    assert left.rows == tuple(rows)
     assert sorted_edges(left) == pairs
 
 

@@ -33,8 +33,8 @@ RECORDS = [
     (
         Graph(3, [(1, 0)]),
         Graph(3, [(1, 2)]),
-        (3, ((1,), (0,), ())),
-        "Graph(n=3, rows=((1,), (0,), ()))",
+        (3, (0b010, 0b001, 0b000)),
+        "Graph(n=3, rows=(2, 1, 0))",
     ),
     (
         DESIGN,
