@@ -63,8 +63,7 @@ def _yesno(flag: bool) -> str:
 def cmd_threshold(args: argparse.Namespace) -> int:
     n, k = args.n, args.k
     if n < 2 or k < 2:
-        _err("threshold requires n >= 2 and k >= 2")
-        return 2
+        raise ValueError("threshold requires n >= 2 and k >= 2")
     adm = is_admissible(n, k)
     exists = design_exists(n, k)
     u = threshold_u(n, k)
@@ -133,8 +132,7 @@ def cmd_gen_uncompletable(args: argparse.Namespace) -> int:
 
 def cmd_gen_random(args: argparse.Namespace) -> int:
     if args.n < 1 or args.k < 2 or args.m < 0:
-        _err("gen-random requires n >= 1, k >= 2, m >= 0")
-        return 2
+        raise ValueError("gen-random requires n >= 1, k >= 2, m >= 0")
     try:
         design = random_design(args.n, args.k, args.m, Random(args.seed))
     except ValueError as exc:
@@ -252,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "oracle",
-        help="completability check: blocked edge, 2-star pairing, construct, "
-             "then search",
+        help="completability check: order rules, the guarantee, then blocked "
+             "edge, 2-star pairing, construct and search",
     )
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help=_BUDGET_HELP)

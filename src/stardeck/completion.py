@@ -5,10 +5,11 @@ completable, and this module actually builds the completion: pad up to the
 threshold, peel off a reducible vertex when possible, then dispatch on the
 order regime (direct 2-star pairing for k = 2, the rotational design at
 n = 2k, a closed-form precentral function for small orders, the repaired
-minimal precentral function beyond).  Every completion is accepted only
-after a merge check.  Designs over the threshold are decided as
-``has_completion`` decides them and may come back certified-impossible or,
-when the search budget runs out, unknown.
+minimal precentral function beyond).  :func:`decide`, which ``complete`` and
+``has_completion`` share, also decides every other valid design: by the order
+rules, then over the threshold by certificates and constructions first, the
+exhaustive search last, which may run out of budget.  Every completion is
+accepted only after a merge check.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .designs import (
     is_admissible,
     threshold_u,
 )
-from .oracle import DEFAULT_BUDGET, decide
+from .extremal import blocked_edge
+from .oracle import DEFAULT_BUDGET, decompose_exhaustive
 from .precentral import Precentral, suitable
-from .realize import Infeasible, decompose_2stars, realize
+from .realize import Infeasible, construct, decompose_2stars, realize
 
 
 class CompletionDefect(RuntimeError):
@@ -258,40 +260,86 @@ def complete(
 ) -> CompletionResult:
     """Complete the design to a full k-star design, or certify why not.
 
-    Designs with at most u(n, k) stars on admissible orders n >= 2k always
-    come back "completed" (anything else raises CompletionDefect).  Over
-    the threshold the answer is that of :func:`has_completion`: "completed",
-    a certified "impossible", or "unknown" when the exhaustive search runs
-    out of its ``oracle_budget`` nodes, the only bound on its work.
+    The answer of :func:`decide`, whose stars are accepted only after the
+    merge check.  Designs with at most u(n, k) stars on admissible orders
+    n >= 2k always come back "completed" (anything else raises
+    CompletionDefect).  Over the threshold the answer is "completed", a
+    certified "impossible", or "unknown" when the exhaustive search runs out
+    of its ``oracle_budget`` nodes, the only bound on its work.
     """
-    n, k = design.n, design.k
     trace: list[str] = ["validated"]
-    if k < 2 or n < 2 * k or not is_admissible(n, k):
-        design._require_valid()
-        if n == 1:
-            trace.append("trivial-order-1")
-            return CompletionResult("completed", design, trace=tuple(trace))
-        if not is_admissible(n, k):
-            return CompletionResult(
-                "impossible", reason="not-admissible", trace=tuple(trace)
-            )
-        return CompletionResult(
-            "impossible", reason="order-too-small", trace=tuple(trace)
-        )
-    # leftover() validates: the design's one check, the graph its one build
-    if len(design.stars) <= threshold_u(n, k):
-        return _merged(n, k, _completed_stars(design, design.leftover(), trace), trace)
-    # over the threshold: decide builds the leftover only when no edge is
-    # blocked, so the design is checked here
-    design._require_valid()
-    trace.append("over-threshold-attempt")
     outcome, stars, reason, certificate = decide(design, oracle_budget, trace)
     if outcome == "yes":
-        return _merged(n, k, [*design.stars, *stars], trace)
+        return _merged(design.n, design.k, stars, trace)
     return CompletionResult(
         "impossible" if outcome == "no" else "unknown",
         reason=reason, certificate=certificate, trace=tuple(trace),
     )
+
+
+def decide(
+    design: PartialDesign, budget: int, trace: list[str],
+) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
+    """Can the design be completed at all?
+
+    Returns ``(outcome, stars, reason, certificate)``: "yes" with every star
+    of a full design containing the given one, unchecked; "no" with a reason
+    and maybe a certificate; or "unknown" with a reason.  Within the
+    guarantee (k >= 2, admissible n >= 2k, at most u(n, k) stars) the paper's
+    construction answers.  Otherwise the design is validated and the order
+    rules come first: "no" if k does not divide C(n, 2), "yes" at n = 1, "no"
+    if n < 2k.  Over the threshold come, in order, a blocked edge read off
+    the stars, then on the leftover the 2-star pairing (k = 2, which
+    decides), :func:`construct`, and the search under ``budget``.  Each step
+    taken is appended to ``trace``; an invalid design raises ValueError.
+    """
+    n, k = design.n, design.k
+    if (k >= 2 and n >= 2 * k and is_admissible(n, k)
+            and len(design.stars) <= threshold_u(n, k)):
+        # leftover() validates: the design's one check, the graph its one build
+        return "yes", _completed_stars(design, design.leftover(), trace), None, None
+    # a blocked edge is read off the stars, so the design is checked here
+    design._require_valid()
+    if not is_admissible(n, k):
+        return "no", None, "not-admissible", None
+    if n == 1:
+        trace.append("trivial-order-1")
+        return "yes", design.stars, None, None
+    if n < 2 * k:
+        return "no", None, "order-too-small", None
+    trace.append("over-threshold-attempt")
+    cert = blocked_edge(design)
+    if cert is not None:
+        trace.append("certificate=blocked-edge")
+        return "no", None, "blocked-edge", cert.to_doc()
+    leftover = design._leftover()
+    if k == 2:
+        pairing = decompose_2stars(leftover)
+        if isinstance(pairing, Infeasible):
+            # even edge count per component characterizes 2-star
+            # decomposability, so this is a certificate, not a give-up
+            trace.append("certificate=odd-component")
+            return "no", None, "odd-component", {
+                "odd_component": sorted(pairing.vertices)}
+        trace.append("construction=2star")
+        return "yes", [*design.stars, *pairing], None, None
+    built = construct(leftover, k)
+    if built is not None:
+        stars, repairs = built
+        if repairs:
+            trace.append(f"repair+{repairs}")
+        trace.append("construction=suitable")
+        return "yes", [*design.stars, *stars], None, None
+    trace.append("realize-infeasible")
+    oracle = decompose_exhaustive(leftover, k, budget=budget)
+    if oracle.status == "found":
+        trace.append("construction=oracle")
+        return "yes", [*design.stars, *oracle.stars], None, None
+    if oracle.status == "none":
+        trace.append("certificate=oracle")
+        return "no", None, "oracle", {"oracle_nodes": oracle.nodes}
+    trace.append("oracle=budget-exceeded")
+    return "unknown", None, "oracle-budget-exceeded", None
 
 
 def _completed_stars(design: PartialDesign, leftover: Graph,

@@ -4,19 +4,17 @@ Small instances only.  The search branches on the lexicographically smallest
 uncovered edge, trying each endpoint as a center with every k-subset of its
 uncovered incident edges that contains the branching edge.  A node budget
 bounds the work; exceeding it yields an explicit "budget_exceeded" status
-instead of an answer.  ``decide`` is the one over-threshold decision that
-``has_completion`` and ``complete`` share: certificates and constructions
-first, the search last.
+instead of an answer.  ``has_completion`` answers whether a design can be
+completed at all, by the one decision that ``complete`` makes too:
+:func:`stardeck.completion.decide`, which runs this search last.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .designs import Graph, PartialDesign, Star, _members, is_admissible
-from .extremal import blocked_edge
-from .realize import Infeasible, construct, decompose_2stars
+from .designs import Graph, PartialDesign, Star, _members
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -94,62 +92,13 @@ def decompose_exhaustive(
                 return OracleResult("none", None, nodes)
 
 
-def decide(
-    design: PartialDesign, budget: int, trace: list[str],
-) -> tuple[str, Sequence[Star] | None, str | None, dict | None]:
-    """Can the design's leftover graph be decomposed into k-stars?
-
-    Returns ``(outcome, stars, reason, certificate)``: "yes" with the stars,
-    "no" with a reason and certificate, or "unknown" with a reason.  Tries,
-    in order, a blocked edge, read off the stars, and then, on the leftover
-    graph built only from here on, the 2-star pairing (k = 2, which
-    decides), :func:`construct`, and the exhaustive search under ``budget``.
-    Each step taken is appended to ``trace``.  The design must be valid and
-    k must divide C(n, 2).
-    """
-    k = design.k
-    cert = blocked_edge(design)
-    if cert is not None:
-        trace.append("certificate=blocked-edge")
-        return "no", None, "blocked-edge", cert.to_doc()
-    leftover = design._leftover()
-    if k == 2:
-        pairing = decompose_2stars(leftover)
-        if isinstance(pairing, Infeasible):
-            # even edge count per component characterizes 2-star
-            # decomposability, so this is a certificate, not a give-up
-            trace.append("certificate=odd-component")
-            return "no", None, "odd-component", {
-                "odd_component": sorted(pairing.vertices)}
-        trace.append("construction=2star")
-        return "yes", pairing, None, None
-    built = construct(leftover, k)
-    if built is not None:
-        stars, repairs = built
-        if repairs:
-            trace.append(f"repair+{repairs}")
-        trace.append("construction=suitable")
-        return "yes", stars, None, None
-    trace.append("realize-infeasible")
-    oracle = decompose_exhaustive(leftover, k, budget=budget)
-    if oracle.status == "found":
-        trace.append("construction=oracle")
-        return "yes", oracle.stars, None, None
-    if oracle.status == "none":
-        trace.append("certificate=oracle")
-        return "no", None, "oracle", {"oracle_nodes": oracle.nodes}
-    trace.append("oracle=budget-exceeded")
-    return "unknown", None, "oracle-budget-exceeded", None
-
-
 def has_completion(design: PartialDesign, budget: int = DEFAULT_BUDGET) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
-    Validates the design, then answers "no" when k does not divide C(n, 2),
-    the edge count of K_n; otherwise the answer of :func:`decide`.
-    "unknown" comes only when the search runs out of its node budget.
+    The outcome of :func:`stardeck.completion.decide`, the decision that
+    ``complete`` makes too; ValueError on an invalid design.  "unknown" comes
+    only when the search runs out of its node budget.
     """
-    design._require_valid()
-    if not is_admissible(design.n, design.k):
-        return "no"
+    # completion imports the search from here, so decide is imported late
+    from .completion import decide
     return decide(design, budget, [])[0]

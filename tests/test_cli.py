@@ -82,6 +82,15 @@ def test_threshold_rejects_malformed_arguments(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["threshold", "1", "1"], "threshold requires n >= 2 and k >= 2"),
+    (["gen-random", "0", "3", "1", "1"], "gen-random requires n >= 1, k >= 2, m >= 0"),
+], ids=["threshold", "gen-random"])
+def test_argument_out_of_range_is_one_line_input_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 # -------------------------------------------------------------------- complete
 
 
@@ -252,6 +261,14 @@ def test_oracle_no(capsys, blocked_file):
 def test_oracle_unknown_on_tiny_budget(capsys, search_only_file):
     assert main(["oracle", search_only_file, "--budget", "1"]) == 1
     assert capsys.readouterr().out == "unknown\n"
+
+
+def test_oracle_no_below_order_2k(capsys, tmp_path):
+    # n < 2k: no full design exists, so no search runs out of its budget
+    path = tmp_path / "small.json"
+    path.write_text('{"n":16,"k":10,"stars":[]}')
+    assert main(["oracle", str(path), "--budget", "1000"]) == 1
+    assert capsys.readouterr().out == "no\n"
 
 
 # ------------------------------------------------------------------ precentral

@@ -398,6 +398,7 @@ def test_complete_trivial_order_one():
     r = complete(PartialDesign(1, 5))
     assert r.outcome == "completed"
     assert r.design.stars == ()
+    assert r.trace == ("validated", "trivial-order-1", "merged")
 
 
 def test_complete_via_reduction():
@@ -884,7 +885,7 @@ def test_has_completion_decides_k2_by_pairing(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched although k = 2 is decided by pairing")
 
-    monkeypatch.setattr("stardeck.oracle.decompose_exhaustive", no_search)
+    monkeypatch.setattr("stardeck.completion.decompose_exhaustive", no_search)
     assert has_completion(_odd_component_design()) == "no"
 
 
@@ -935,18 +936,30 @@ def test_over_threshold_searches_at_any_order(text):
 def test_over_threshold_differential_fuzz():
     # every verdict over the threshold is checked by an independent path:
     # a completion by verify_decomposition on the leftover, a refutation by
-    # the exhaustive search; unknown is only the oracle's to give
+    # the exhaustive search; unknown is only the oracle's to give.  Designs
+    # within the guarantee, at n = 1 and on orders that no full design has
+    # go through the same checks, where design_exists refutes the last ones
     rng = random.Random(6)
     pairs = [(n, k) for k in range(2, 6) for n in range(2 * k, 17) if is_admissible(n, k)]
-    outcomes = set()
+    designs = []
     for i in range(300):
         n, k = pairs[i % len(pairs)]
         while True:
             try:
-                d = random_design(n, k, threshold_u(n, k) + rng.randint(1, 3), rng)
+                designs.append(
+                    random_design(n, k, threshold_u(n, k) + rng.randint(1, 3), rng))
                 break
             except ValueError:
                 continue  # no room for that many stars; draw again
+    designs += [random_design(n, k, rng.randint(0, threshold_u(n, k)), rng)
+                for n, k in pairs]
+    # at n = 1, k not dividing C(8, 2), and n < 2k on admissible orders
+    designs += [PartialDesign(1, 3), PartialDesign(8, 3)]
+    designs += [PartialDesign(n, k) for n, k in (
+        (16, 10), (16, 12), (21, 14), (21, 15), (25, 15), (28, 18), (25, 20))]
+    outcomes = set()
+    for d in designs:
+        k = d.k
         r = complete(d, oracle_budget=1000)
         outcomes.add(r.outcome)
         assert has_completion(d, budget=1000) == {
@@ -957,10 +970,13 @@ def test_over_threshold_differential_fuzz():
             assert given <= set(r.design.stars)
             new = [s for s in r.design.stars if s not in given]
             assert verify_decomposition(d.leftover(), k, new), d
+        elif r.reason in ("not-admissible", "order-too-small"):
+            assert not d.stars and not design_exists(d.n, k), d
         elif r.outcome == "impossible":
             assert decompose_exhaustive(d.leftover(), k, budget=10**6).status == "none", d
         else:
             assert r.outcome == "unknown" and r.reason.startswith("oracle-"), r
+            assert len(d.stars) > threshold_u(d.n, k), d
     assert outcomes >= {"completed", "impossible"}
 
 

@@ -68,6 +68,7 @@ REMOVED = [
     ("stardeck.designs", "PartialDesign", "reduction_vertex"),
     ("stardeck.designs", "Star", "sorted_leaves"),
     ("stardeck.oracle", None, "_BudgetExceeded"),
+    ("stardeck.oracle", None, "decide"),
     ("stardeck.oracle", None, "default_budget"),
     ("stardeck.precentral", None, "delta_t"),
     ("stardeck.precentral", "Precentral", "pstar_sum"),

@@ -147,7 +147,7 @@ def test_has_completion_builds_before_searching(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched although the construction succeeds")
 
-    monkeypatch.setattr("stardeck.oracle.decompose_exhaustive", no_search)
+    monkeypatch.setattr("stardeck.completion.decompose_exhaustive", no_search)
     assert has_completion(d, budget=1) == "yes"
 
 

@@ -138,3 +138,23 @@ def test_import_loads_no_dataclasses_inspect_or_fractions():
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert type(Precentral(2, (1, 0), (1, 1)).pstar(0)) is Fraction
+
+
+@pytest.mark.parametrize("module", [
+    "cli", "completion", "designs", "extremal", "oracle", "precentral", "realize",
+])
+def test_each_submodule_imports_first_without_a_cycle(module):
+    """``has_completion`` imports ``decide`` from ``completion`` when called,
+    since ``completion`` imports the search from ``oracle``; importing it at
+    the top of ``oracle`` would be a cycle that no import order survives."""
+    code = (
+        f"import stardeck.{module}\n"
+        "import stardeck\n"
+        "print(stardeck.has_completion(stardeck.PartialDesign(6, 3), budget=10))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "yes\n"
