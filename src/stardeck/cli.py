@@ -201,7 +201,9 @@ def cmd_precentral(args: argparse.Namespace) -> int:
     return 0
 
 
-_BUDGET_HELP = f"search node budget (default: {DEFAULT_BUDGET:,})"
+_BUDGET_HELP = (f"search node budget (default: {DEFAULT_BUDGET:,}); it counts the star "
+                "placements that pass the blocked-edge check, not every candidate "
+                "tried, so it does not bound the time")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,9 +1,10 @@
 """Completion pipeline for partial k-star designs.
 
 Any partial design of admissible order n >= 2k with at most u(n, k) stars is
-completable, and this module actually builds the completion: pad up to the
-threshold, peel off a reducible vertex when possible, then dispatch on the
-order regime (direct 2-star pairing for k = 2, the rotational design at
+completable, and this module actually builds the completion.  For k = 2 the
+leftover is paired into 2-stars directly.  For k >= 3 the paper's
+construction pads up to the threshold, peels off a reducible vertex when
+possible, then dispatches on the order regime (the rotational design at
 n = 2k, a closed-form precentral function for small orders, the repaired
 minimal precentral function beyond).  :func:`decide`, which ``complete`` and
 ``has_completion`` share, also decides every other valid design: by the order
@@ -265,7 +266,7 @@ def complete(
     n >= 2k always come back "completed" (anything else raises
     CompletionDefect).  Over the threshold the answer is "completed", a
     certified "impossible", or "unknown" when the exhaustive search runs out
-    of its ``oracle_budget`` nodes, the only bound on its work.
+    of its ``oracle_budget`` nodes.  k = 2 is always decided, by pairing.
     """
     trace: list[str] = ["validated"]
     outcome, stars, reason, certificate = decide(design, oracle_budget, trace)
@@ -285,37 +286,47 @@ def decide(
     Returns ``(outcome, stars, reason, certificate)``: "yes" with every star
     of a full design containing the given one, unchecked; "no" with a reason
     and maybe a certificate; or "unknown" with a reason.  Within the
-    guarantee (k >= 2, admissible n >= 2k, at most u(n, k) stars) the paper's
-    construction answers.  Otherwise the design is validated and the order
-    rules come first: "no" if k does not divide C(n, 2), "yes" at n = 1, "no"
-    if n < 2k.  Over the threshold come, in order, a blocked edge read off
-    the stars, then on the leftover the 2-star pairing (k = 2, which
-    decides), :func:`construct`, and the search under ``budget``.  Each step
-    taken is appended to ``trace``; an invalid design raises ValueError.
+    guarantee (k >= 2, admissible n >= 2k, at most u(n, k) stars) the 2-star
+    pairing answers for k = 2 and the paper's construction for k >= 3.
+    Otherwise the design is validated and the order rules come first: "no"
+    if k does not divide C(n, 2), "yes" at n = 1, "no" if n < 2k.  Over the
+    threshold come, in order, a blocked edge read off the stars, then on the
+    leftover the 2-star pairing (k = 2, which decides), :func:`construct`,
+    and the search under ``budget``.  Each step taken is appended to
+    ``trace``; an invalid design raises ValueError.
     """
     n, k = design.n, design.k
-    if (k >= 2 and n >= 2 * k and is_admissible(n, k)
-            and len(design.stars) <= threshold_u(n, k)):
+    guaranteed = (k >= 2 and n >= 2 * k and is_admissible(n, k)
+                  and len(design.stars) <= threshold_u(n, k))
+    if guaranteed:
         # leftover() validates: the design's one check, the graph its one build
-        return "yes", _completed_stars(design, design.leftover(), trace), None, None
-    # a blocked edge is read off the stars, so the design is checked here
-    design._require_valid()
-    if not is_admissible(n, k):
-        return "no", None, "not-admissible", None
-    if n == 1:
-        trace.append("trivial-order-1")
-        return "yes", design.stars, None, None
-    if n < 2 * k:
-        return "no", None, "order-too-small", None
-    trace.append("over-threshold-attempt")
-    cert = blocked_edge(design)
-    if cert is not None:
-        trace.append("certificate=blocked-edge")
-        return "no", None, "blocked-edge", cert.to_doc()
-    leftover = design._leftover()
+        leftover = design.leftover()
+        if k > 2:
+            return "yes", _completed_stars(design, leftover, trace), None, None
+    else:
+        # a blocked edge is read off the stars, so the design is checked here
+        design._require_valid()
+        if not is_admissible(n, k):
+            return "no", None, "not-admissible", None
+        if n == 1:
+            trace.append("trivial-order-1")
+            return "yes", design.stars, None, None
+        if n < 2 * k:
+            return "no", None, "order-too-small", None
+        trace.append("over-threshold-attempt")
+        cert = blocked_edge(design)
+        if cert is not None:
+            trace.append("certificate=blocked-edge")
+            return "no", None, "blocked-edge", cert.to_doc()
+        leftover = design._leftover()
     if k == 2:
         pairing = decompose_2stars(leftover)
         if isinstance(pairing, Infeasible):
+            if guaranteed:
+                raise CompletionDefect(
+                    "threshold design leftover has an odd component: "
+                    f"{sorted(pairing.vertices)}"
+                )
             # even edge count per component characterizes 2-star
             # decomposability, so this is a certificate, not a give-up
             trace.append("certificate=odd-component")
@@ -346,10 +357,11 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
                      trace: list[str]) -> list[Star]:
     """The stars of a full design containing the given one, unchecked.
 
-    The design must be valid, of admissible order n >= 2k, with at most
-    u(n, k) stars, and ``leftover`` must be its leftover.  Each step taken
-    is appended to ``trace``; a reduced design's own steps go into one
-    ``recurse{...}`` entry.
+    The paper's construction: pad to u(n, k) stars, reduce when possible,
+    then build by the order regime.  The design must be valid, with k >= 3,
+    of admissible order n >= 2k and at most u(n, k) stars, and ``leftover``
+    must be its leftover.  Each step taken is appended to ``trace``; a
+    reduced design's own steps go into one ``recurse{...}`` entry.
     """
     n, k = design.n, design.k
     stars = [*design.stars]
@@ -374,55 +386,33 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
             rows[v] ^= 1 << x
         steps = []
         _pad(k, rows, stars, threshold_u(n - 1, k), steps)
-    built = _construction(k, stars, rows, x, steps)
-    if x is not None:
-        trace.append("recurse{" + ";".join(steps) + "}")
-    return [*stars, *built, *own]
-
-
-def _construction(k: int, stars: list[Star], rows: list[int],
-                  isolated: int | None, trace: list[str]) -> list[Star]:
-    """Stars that decompose the leftover ``rows`` of a non-reducible design.
-
-    The design's vertices are the rows' vertices but ``isolated``, when
-    given: that vertex has neither stars nor leftover edges.  With n of them,
-    the design has exactly u(n, k) ``stars``.
-    """
-    leftover = Graph._of_rows(len(rows), tuple(rows))
-    if k == 2:
-        pairing = decompose_2stars(leftover)
-        if isinstance(pairing, Infeasible):
-            raise CompletionDefect(
-                "threshold design leftover has an odd component: "
-                f"{sorted(pairing.vertices)}"
-            )
-        trace.append("construction=2star")
-        return pairing
-
-    vertices = [v for v in range(leftover.n) if v != isolated]
-    n = len(vertices)
-    if n == 2 * k:
-        trace.append("construction=relabel-2k")
-        return _order_2k(stars[0], vertices)
-
-    if n == 2 * k + 1:
+    # the design on these vertices has exactly u stars and is not reducible
+    vertices = [v for v in range(n) if v != x]
+    order = len(vertices)
+    if order == 2 * k:
+        steps.append("construction=relabel-2k")
+        built = _order_2k(stars[0], vertices)
+    elif order == 2 * k + 1:
         # two stars at order 2k+1 always admit a reduction vertex: a doubled
         # center uses all its edges, and distinct centers cannot both be
         # leaves of each other's star without reusing their joining edge
         raise CompletionDefect(
             "order 2k+1 threshold design was not reducible; unreachable"
         )
-
-    if n <= 3 * k + 1:
-        trace.append("construction=small-order")
-        p = _small_order_precentral(k, leftover, stars, vertices)
     else:
-        trace.append("construction=suitable")
-        p = suitable(leftover, k)
-    built = realize(leftover, k, p)
-    if isinstance(built, Infeasible):
-        raise CompletionDefect(
-            f"{trace[-1]}: realization infeasible, witness subset "
-            f"{sorted(built.vertices)} has negative supply-demand balance"
-        )
-    return built
+        leftover = Graph._of_rows(n, tuple(rows))
+        if order <= 3 * k + 1:
+            steps.append("construction=small-order")
+            p = _small_order_precentral(k, leftover, stars, vertices)
+        else:
+            steps.append("construction=suitable")
+            p = suitable(leftover, k)
+        built = realize(leftover, k, p)
+        if isinstance(built, Infeasible):
+            raise CompletionDefect(
+                f"{steps[-1]}: realization infeasible, witness subset "
+                f"{sorted(built.vertices)} has negative supply-demand balance"
+            )
+    if x is not None:
+        trace.append("recurse{" + ";".join(steps) + "}")
+    return [*stars, *built, *own]

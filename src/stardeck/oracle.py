@@ -3,7 +3,7 @@
 Small instances only.  The search branches on the lexicographically smallest
 uncovered edge, trying each endpoint as a center with every k-subset of its
 uncovered incident edges that contains the branching edge.  A node budget
-bounds the work; exceeding it yields an explicit "budget_exceeded" status
+bounds the search; exceeding it yields an explicit "budget_exceeded" status
 instead of an answer.  ``has_completion`` answers whether a design can be
 completed at all, by the one decision that ``complete`` makes too:
 :func:`stardeck.completion.decide`, which runs this search last.
@@ -33,6 +33,10 @@ def decompose_exhaustive(
     """Exhaustive k-star decomposition search.
 
     Deterministic for a given input; found decompositions are reproducible.
+    ``budget`` bounds the nodes: the root and each star placement that
+    passes the blocked-edge check.  The k-subsets a node tries and rejects
+    are not counted, so on a dense graph with large k one node can try
+    thousands of them, and the budget does not bound the time.
     """
     if k < 2:
         raise ValueError("k must be >= 2")

@@ -492,6 +492,35 @@ def test_complete_k2_route():
     assert len(r.design.stars) == 5
 
 
+def test_k2_within_the_guarantee_is_paired_without_padding(monkeypatch):
+    # k = 2 needs neither padding nor the reduction: the pairing decides
+    def never(*args):
+        raise AssertionError("the paper's construction ran for k = 2")
+
+    monkeypatch.setattr(completion, "_pad", never)
+    monkeypatch.setattr(completion, "realize", never)
+    count = 0
+    for n in range(4, 41):
+        if not is_admissible(n, 2):
+            continue
+        for m in range(threshold_u(n, 2) + 1):
+            d = seeded_design(n, 2, m, seed=1000 * n + m)
+            r = complete(d)
+            _assert_completed(d, r)
+            assert r.trace == ("validated", "construction=2star", "merged"), d
+            assert has_completion(d) == "yes", d
+            count += 1
+    assert count == 371
+
+
+def test_k2_odd_component_within_the_guarantee_is_a_defect(monkeypatch):
+    # within the guarantee an odd component is a bug, never an answer
+    monkeypatch.setattr(completion, "decompose_2stars",
+                        lambda graph: Infeasible("odd-component", frozenset({0, 1, 2})))
+    with pytest.raises(CompletionDefect, match=r"odd component: \[0, 1, 2\]"):
+        complete(PartialDesign(8, 2))
+
+
 def test_complete_small_order_route():
     d = next(
         d
@@ -987,7 +1016,8 @@ def _complete_extremal_minus_one_star(top: int) -> tuple[int, int]:
     """Complete gen_uncompletable(n, k) less each one star, for k = 2..6 and
     2k <= n <= top; returns the designs completed and how many reduced."""
     # gen_uncompletable(n, k) less any one star has exactly u stars, so it
-    # lies in the guarantee; for n = 1 (mod k) only the reduction completes it
+    # lies in the guarantee; for k > 2 and n = 1 (mod k) only the reduction
+    # completes it, and k = 2 is paired without one
     count = reduced = 0
     for k in range(2, 7):
         for n in range(2 * k, top + 1):
@@ -999,19 +1029,19 @@ def _complete_extremal_minus_one_star(top: int) -> tuple[int, int]:
                 r = complete(d)
                 _assert_completed(d, r)
                 reduces = any(step.startswith("reduce@") for step in r.trace)
-                assert reduces == (n % k == 1), (n, k, i, r.trace)
+                assert reduces == (k > 2 and n % k == 1), (n, k, i, r.trace)
                 count += 1
                 reduced += reduces
     return count, reduced
 
 
 def test_extremal_designs_minus_one_star_complete():
-    assert _complete_extremal_minus_one_star(40) == (964, 444)
+    assert _complete_extremal_minus_one_star(40) == (964, 273)
 
 
 @pytest.mark.slow
 def test_extremal_designs_minus_one_star_complete_below_100():
-    assert _complete_extremal_minus_one_star(99) == (6199, 2995)
+    assert _complete_extremal_minus_one_star(99) == (6199, 1819)
 
 
 def _relabeled(d: PartialDesign, rng: random.Random) -> PartialDesign:

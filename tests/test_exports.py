@@ -58,6 +58,7 @@ REMOVED = [
     ("stardeck", None, "subset_check"),
     ("stardeck", None, "verify_decomposition"),
     ("stardeck.completion", None, "_check_degree_facts"),
+    ("stardeck.completion", None, "_construction"),
     ("stardeck.designs", None, "CentralFunction"),
     ("stardeck.designs", "Graph", "complete"),
     ("stardeck.designs", "Graph", "degree"),

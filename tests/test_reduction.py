@@ -53,9 +53,11 @@ def _reference(design: PartialDesign) -> CompletionResult:
 
 
 def _reducible_designs():
-    """Seeded designs with n <= 40, k = 2..5, whose padding is reducible."""
+    """Seeded designs with n <= 40, k = 3..5, whose padding is reducible.
+
+    For k = 2 ``complete`` pairs the leftover and never reduces."""
     rng = random.Random(2024)
-    for k in range(2, 6):
+    for k in range(3, 6):
         for n in range(2 * k + 1, 41, k):  # n = 1 (mod k)
             if not design_exists(n, k):
                 continue
@@ -80,6 +82,6 @@ def test_reduction_matches_the_renumbering_reference():
                     for s in steps[len("recurse{"):-1].split(";"))
     # the reduced design is padded, and reaches every construction
     assert seen == {
-        "pad+", "construction=2star", "construction=relabel-2k",
-        "construction=small-order", "construction=suitable",
+        "pad+", "construction=relabel-2k", "construction=small-order",
+        "construction=suitable",
     }
