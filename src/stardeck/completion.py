@@ -213,41 +213,19 @@ def _order_2k(star: Star, vertices: Sequence[int]) -> list[Star]:
     return [Star(ring[i], [w, *ring[i + 1:i + k]]) for i in range(1, 2 * k - 1)]
 
 
-def _valid_quick(n: int, k: int, stars: tuple[Star, ...]) -> bool:
-    """True iff ``PartialDesign(n, k, stars).validate()`` finds nothing.
-
-    Marks each covered edge {a, b}, a < b, at a * n + b of an n-by-n byte
-    table whose diagonal is marked beforehand.  A center that is also a leaf
-    hits the diagonal and a repeated edge hits its own mark, so either way
-    fewer marks are set than n plus the leaf count.  Range checks read only
-    the first and last leaf, since leaves are ascending.
-    """
-    if n < 1 or k < 2:
-        return False
-    seen = bytearray(n * n)
-    seen[::n + 1] = b"\x01" * n
-    for center, leaves in stars:
-        if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
-            return False
-        for leaf in leaves:
-            seen[center * n + leaf if center < leaf else leaf * n + center] = 1
-    return seen.count(1) == n + k * len(stars)
-
-
 def _merged(n: int, k: int, stars: Iterable[Star],
             trace: list[str]) -> CompletionResult:
     """Accept ``stars`` as a full design of order n; every construction ends here.
 
     A valid design covers k distinct edges per star, so it covers all of K_n
-    exactly when k times its star count is C(n, 2).  The design is checked in
-    a byte table; ``validate()`` runs only to word the defect when that check
-    fails.
+    exactly when k times its star count is C(n, 2).  The design is checked
+    by ``validate()``, which a full design, being dense, passes in its byte
+    table.
     """
     full = PartialDesign(n, k, tuple(stars))
-    if not _valid_quick(n, k, full.stars):
-        violations = full.validate()
-        if violations:
-            raise CompletionDefect("merged design invalid: " + "; ".join(violations))
+    violations = full.validate()
+    if violations:
+        raise CompletionDefect("merged design invalid: " + "; ".join(violations))
     if k * len(full.stars) != n * (n - 1) // 2:
         raise CompletionDefect("merged design does not cover every edge")
     trace.append("merged")

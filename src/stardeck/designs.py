@@ -188,8 +188,28 @@ class PartialDesign(_Record):
         object.__setattr__(self, "stars", stars)
 
     def validate(self) -> list[str]:
-        """All rule violations, empty when the design is valid."""
-        n, k = self.n, self.k
+        """All rule violations, empty when the design is valid.
+
+        A design is checked first in an n-by-n byte table when that takes at
+        most 64 bytes per leaf its stars hold, about half of the per-edge dict
+        of the loop below; real leaves bound it, not a claimed k.  The loop
+        words the violations when the table finds one or is not used.
+        """
+        n, k, stars = self.n, self.k, self.stars
+        leaves_held = sum(map(len, map(itemgetter(1), stars)))
+        if n >= 1 and k >= 2 and n * n <= 64 * leaves_held:
+            # edge {a, b}, a < b, marks a * n + b; a center that is a leaf hits
+            # the marked diagonal and a repeated edge its own mark
+            seen = bytearray(n * n)
+            seen[::n + 1] = b"\x01" * n
+            for center, leaves in stars:
+                if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
+                    break
+                for leaf in leaves:
+                    seen[center * n + leaf if center < leaf else leaf * n + center] = 1
+            else:
+                if seen.count(1) == n + leaves_held:
+                    return []
         out: list[str] = []
         if n < 1:
             out.append(f"n must be >= 1, got {n}")

@@ -105,6 +105,45 @@ def subset_check(
     return None
 
 
+def validate_reference(design: PartialDesign) -> list[str]:
+    """Every rule violation of the design, worded and ordered as
+    ``PartialDesign.validate()`` words them, found edge by edge with one dict
+    entry per covered edge and no byte table."""
+    n, k = design.n, design.k
+    out: list[str] = []
+    if n < 1:
+        out.append(f"n must be >= 1, got {n}")
+    if k < 2:
+        out.append(f"k must be >= 2, got {k}")
+    # a covered edge {a, b}, a < b, is keyed by the int a * n + b
+    covered: dict[int, int] = {}
+    for i, (center, leaves) in enumerate(design.stars):
+        ok = 0 <= center < n
+        if not ok:
+            out.append(f"star {i}: center {center} out of range")
+        if leaves and not (0 <= leaves[0] and leaves[-1] < n):
+            for leaf in leaves:
+                if not (0 <= leaf < n):
+                    out.append(f"star {i}: leaf {leaf} out of range")
+            ok = False
+        if center in leaves:
+            out.append(f"star {i}: center {center} is also a leaf")
+            ok = False
+        if len(leaves) != k:
+            out.append(f"star {i}: has {len(leaves)} leaves, expected {k}")
+        if not ok:
+            continue
+        for leaf in leaves:
+            key = center * n + leaf if center < leaf else leaf * n + center
+            first = covered.setdefault(key, i)
+            if first != i:
+                a, b = divmod(key, n)
+                out.append(
+                    f"edge {{{a},{b}}} covered twice (stars {first} and {i})"
+                )
+    return out
+
+
 def verify_decomposition(
     graph: Graph,
     k: int,

@@ -43,6 +43,7 @@ from conftest import (
     seeded_design,
     seeded_design_at_most_u,
     sorted_edges,
+    validate_reference,
     verify_decomposition,
 )
 
@@ -412,25 +413,26 @@ def test_complete_via_reduction():
 
 
 def test_complete_reduced_design_is_validated_and_merged_once(monkeypatch):
-    counts = {"_valid_quick": 0, "complete": 0}
+    calls = {"validate": [], "complete": 0}
+    validate, complete_ = PartialDesign.validate, completion.complete
 
-    def spy(name):
-        original = getattr(completion, name)
+    def validate_spy(self):
+        calls["validate"].append(self)
+        return validate(self)
 
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
+    def complete_spy(*args, **kwargs):
+        calls["complete"] += 1
+        return complete_(*args, **kwargs)
 
-        monkeypatch.setattr(completion, name, counted)
-
-    spy("_valid_quick")
-    spy("complete")
-    r = completion.complete(PartialDesign(16, 3))
-    _assert_completed(PartialDesign(16, 3), r)
+    monkeypatch.setattr(PartialDesign, "validate", validate_spy)
+    monkeypatch.setattr(completion, "complete", complete_spy)
+    design = PartialDesign(16, 3)
+    r = completion.complete(design)
     assert r.trace == (
         "validated", "pad+8", "reduce@0", "recurse{pad+4;construction=suitable}", "merged"
     )
-    assert counts == {"_valid_quick": 1, "complete": 1}
+    assert calls == {"validate": [design, r.design], "complete": 1}
+    _assert_completed(design, r)
 
 
 @pytest.mark.parametrize("design, trace", [
@@ -439,22 +441,23 @@ def test_complete_reduced_design_is_validated_and_merged_once(monkeypatch):
     (PartialDesign(12, 3), ("validated", "pad+5", "construction=suitable", "merged")),
 ])
 def test_complete_validates_once_and_builds_one_leftover(monkeypatch, design, trace):
-    counts = {"validate": 0, "leftover": 0}
+    # the input is validated once, and the merged design once more
+    calls = {"validate": [], "leftover": []}
 
     def spy(name):
         original = getattr(PartialDesign, name)
 
-        def counted(self):
-            counts[name] += 1
+        def recorded(self):
+            calls[name].append(self)
             return original(self)
 
-        monkeypatch.setattr(PartialDesign, name, counted)
+        monkeypatch.setattr(PartialDesign, name, recorded)
 
     spy("validate")
     spy("leftover")
     r = complete(design)
     assert r.trace == trace
-    assert counts == {"validate": 1, "leftover": 1}
+    assert calls == {"validate": [design, r.design], "leftover": [design]}
     _assert_completed(design, r)
 
 
@@ -693,25 +696,26 @@ def test_merge_defect_words_validate_exactly(monkeypatch, kind, words, name, des
     monkeypatch.setattr(
         completion, name, lambda *args: _corrupt(kind, original(*args), design.n))
     checked = []
-    quick = completion._valid_quick
+    validate = PartialDesign.validate
 
-    def spy(n, k, stars):
-        checked.append(PartialDesign(n, k, stars))
-        return quick(n, k, stars)
+    def spy(self):
+        checked.append(self)
+        return validate(self)
 
-    monkeypatch.setattr(completion, "_valid_quick", spy)
+    monkeypatch.setattr(PartialDesign, "validate", spy)
     with pytest.raises(CompletionDefect) as err:
         complete(design)
-    [merged] = checked
-    violations = merged.validate()
+    first, merged = checked
+    assert first == design
+    violations = validate_reference(merged)
     assert words in "; ".join(violations)
     assert str(err.value) == "merged design invalid: " + "; ".join(violations)
 
 
-def test_quick_check_agrees_with_validate():
+def test_validate_agrees_with_reference():
     rng = random.Random(3)
     full = complete(PartialDesign(13, 3)).design
-    assert completion._valid_quick(13, 3, full.stars)
+    assert full.validate() == validate_reference(full) == []
     for _ in range(300):
         stars = list(full.stars)
         i = rng.randrange(len(stars))
@@ -721,7 +725,7 @@ def test_quick_check_agrees_with_validate():
         if rng.random() < 0.2:
             stars.append(stars[rng.randrange(len(stars))])
         d = PartialDesign(13, 3, tuple(stars))
-        assert completion._valid_quick(13, 3, d.stars) == (d.validate() == [])
+        assert d.validate() == validate_reference(d)
     # one leaf moved between two stars of the same center: every edge is
     # still covered once, but the stars have k - 1 and k + 1 leaves
     i, j = next((i, j) for i, j in combinations(range(len(full.stars)), 2)
@@ -729,9 +733,16 @@ def test_quick_check_agrees_with_validate():
     (center, short), (_, long) = full.stars[i], full.stars[j]
     stars = list(full.stars)
     stars[i], stars[j] = Star(center, short[1:]), Star(center, {short[0], *long})
-    assert not completion._valid_quick(13, 3, tuple(stars))
-    assert not completion._valid_quick(0, 3, ())
-    assert not completion._valid_quick(5, 1, ())
+    moved = PartialDesign(13, 3, tuple(stars))
+    assert moved.validate() == validate_reference(moved) != []
+    # n = 0 and k = 1 fail whatever the stars; a sparse design, whose table
+    # would outweigh its edges, is checked edge by edge
+    sparse = seeded_design(40, 3, 4, seed=5)
+    doubled = PartialDesign(40, 3, (*sparse.stars, sparse.stars[0]))
+    for d in (PartialDesign(0, 3), PartialDesign(5, 1, (Star(0, (1,)), Star(1, (0,)))),
+              sparse, doubled):
+        assert d.validate() == validate_reference(d)
+    assert validate_reference(sparse) == [] != validate_reference(doubled)
 
 
 # ------------------------------------------------------------ ascending leaves
@@ -865,7 +876,7 @@ def test_over_threshold_blocked_edge():
 ])
 def test_over_threshold_builds_one_leftover(design, monkeypatch):
     # a blocked edge is read off the stars, so that design builds none;
-    # every design is validated once per call
+    # every design is validated once per call, and a completion once more
     calls = {"validate": [], "_leftover": []}
 
     def spy(name):
@@ -882,7 +893,8 @@ def test_over_threshold_builds_one_leftover(design, monkeypatch):
     assert len(design.stars) > threshold_u(design.n, design.k)
     r = complete(design, oracle_budget=1000)
     builds = [] if r.reason == "blocked-edge" else [design]
-    assert calls == {"validate": [design], "_leftover": builds}
+    checks = [design] if r.design is None else [design, r.design]
+    assert calls == {"validate": checks, "_leftover": builds}
     calls["validate"].clear()
     calls["_leftover"].clear()
     has_completion(design, budget=1000)

@@ -20,10 +20,12 @@ from stardeck import (
     PartialDesign,
     Star,
     canonical_dumps,
+    complete,
     design_exists,
     design_from_doc,
     design_to_doc,
     dumps_design,
+    gen_uncompletable,
     is_admissible,
     loads_design,
     random_design,
@@ -317,6 +319,15 @@ def test_large_order_leftover_and_random_design_take_small_memory():
     # one n-bit row per vertex: about n^2 / 8 bytes, 1.1 MB at n = 3001
     assert _peak_mb(lambda: PartialDesign(3001, 3).leftover()) < 5
     assert _peak_mb(lambda: random_design(3001, 3, 10, random.Random(1))) < 5
+    # validate() checks a dense design in an n^2 byte table, 90 KB at n = 301,
+    # and a sparse one edge by edge, with no table
+    full = complete(PartialDesign(301, 3)).design
+    assert _peak_mb(full.validate) < 1
+    assert _peak_mb(gen_uncompletable(6001, 3).validate) < 2
+    # the table is sized from the leaves held, never from a claimed k
+    claimed = PartialDesign(5000, 10**6, [Star(0, (1, 2))])
+    assert _peak_mb(claimed.validate) < 1
+    assert claimed.validate() == ["star 0: has 2 leaves, expected 1000000"]
 
 
 def test_leftover_rejects_invalid_design():
