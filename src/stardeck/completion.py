@@ -159,7 +159,7 @@ def small_order_precentral(design: PartialDesign) -> Precentral:
         raise ValueError("design must have exactly u(n, k) stars")
     if design.is_reducible():
         raise ValueError("design must be non-reducible")
-    return _small_order_precentral(k, design.leftover(), design.stars, range(n))
+    return _small_order_precentral(k, design._leftover(), design.stars, range(n))
 
 
 def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
@@ -378,7 +378,7 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
             "order 2k+1 threshold design was not reducible; unreachable"
         )
     else:
-        leftover = Graph._of_rows(n, tuple(rows))
+        leftover = Graph._make((n, tuple(rows)))
         if order <= 3 * k + 1:
             steps.append("construction=small-order")
             p = _small_order_precentral(k, leftover, stars, vertices)

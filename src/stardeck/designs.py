@@ -12,16 +12,21 @@ import json
 from itertools import compress
 from operator import itemgetter
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-class Star(tuple):
+class _StarFields(NamedTuple):
+    center: int
+    leaves: tuple[int, ...]
+
+
+class Star(_StarFields):
     """A k-star: ``center`` joined to each vertex in ``leaves``.
 
     An immutable pair of the center and the leaves, a tuple of distinct ints
     in ascending order.  ``Star(center, leaves)`` takes any iterable of
     leaves and drops repeats, so stars built from equal leaf sets are equal
-    and hash alike.
+    and hash alike; ``_make`` and ``_replace`` go through it too.
     """
 
     __slots__ = ()
@@ -29,14 +34,9 @@ class Star(tuple):
     def __new__(cls, center: int, leaves: Iterable[int]) -> "Star":
         return tuple.__new__(cls, (center, tuple(sorted(set(leaves)))))
 
-    center = property(itemgetter(0), doc="The center vertex.")
-    leaves = property(itemgetter(1), doc="The leaves, ascending and distinct.")
-
-    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"Star(center={self[0]!r}, leaves={self[1]!r})"
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Star":
+        return cls(*iterable)
 
 
 def _star(center: int, leaves: tuple[int, ...]) -> Star:
@@ -45,57 +45,23 @@ def _star(center: int, leaves: tuple[int, ...]) -> Star:
     return tuple.__new__(Star, (center, leaves))
 
 
-class _Record:
-    """An immutable record on ``__slots__``: its fields are the slots, in
-    order, and it compares, hashes, prints and pickles by them."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return _rebuild, (self.__class__, self._values())
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _rebuild(cls: type, values: tuple) -> _Record:
-    """The record of class cls with the given field values, unchecked."""
-    record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(record, name, value)
-    return record
-
-
-class Graph(_Record):
-    """Immutable simple graph on vertices 0..n-1, stored as adjacency bitsets.
-
-    Bit y of ``rows[v]`` is set exactly when {v, y} is an edge.
-    """
-
-    __slots__ = ("n", "rows")
-    __match_args__ = __slots__
+class _GraphFields(NamedTuple):
     n: int
     rows: tuple[int, ...]
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+
+class Graph(_GraphFields):
+    """Immutable simple graph on vertices 0..n-1, stored as adjacency bitsets.
+
+    Bit y of ``rows[v]`` is set exactly when {v, y} is an edge.
+    ``Graph(n, edges)`` builds and checks the rows;
+    ``Graph._make((n, rows))`` wraps rows the caller built symmetric and
+    loop-free, unchecked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
@@ -106,13 +72,11 @@ class Graph(_Record):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(rows))
+        return tuple.__new__(cls, (n, tuple(rows)))
 
-    @classmethod
-    def _of_rows(cls, n: int, rows: tuple[int, ...]) -> "Graph":
-        """A graph on rows the caller built symmetric and loop-free; no check."""
-        return _rebuild(cls, (n, rows))
+    def __reduce__(self) -> tuple:
+        # the constructor takes edges, so a copy rewraps the rows
+        return self._make, (tuple(self),)
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -127,14 +91,18 @@ class Graph(_Record):
         return tuple([*map(int.bit_count, self.rows)])
 
 
+# turns bin() digits into compress() selectors: "0" must be false
+_SELECTORS = bytes.maketrans(b"0", b"\0")
+
+
 def _members(mask: int, labels: Sequence[int]) -> list[int]:
     """The labels at the set bits of ``mask``, ascending by bit.
 
     Returns the caller's label objects themselves, so the many lists and
     stars built from one row share its ints.
     """
-    # bin() reversed puts bit y at index y; as selectors, "0" must be false
-    bits = bin(mask)[:1:-1].encode().translate(bytes.maketrans(b"0", b"\0"))
+    # bin() reversed puts bit y at index y
+    bits = bin(mask)[:1:-1].encode().translate(_SELECTORS)
     return [*compress(labels, bits)]
 
 
@@ -168,24 +136,28 @@ def threshold_u(n: int, k: int) -> int:
     return 2 * ((n - 2) // k) - 1
 
 
-class PartialDesign(_Record):
-    """A partial k-star design: order ``n``, star size ``k``, star list."""
-
-    __slots__ = ("n", "k", "stars")
-    __match_args__ = __slots__
+class _DesignFields(NamedTuple):
     n: int
     k: int
     stars: tuple[Star, ...]
 
-    def __init__(self, n: int, k: int, stars: Iterable[Star] = ()) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
+
+class PartialDesign(_DesignFields):
+    """A partial k-star design: order ``n``, star size ``k``, star list."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, stars: Iterable[Star] = ()) -> "PartialDesign":
         stars = tuple(stars)
         # a plain (center, leaves) pair becomes a Star, with its leaves
         # sorted, so validation and completion read the same stars
         if {*map(type, stars)} - {Star}:
             stars = tuple([s if isinstance(s, Star) else Star(*s) for s in stars])
-        object.__setattr__(self, "stars", stars)
+        return tuple.__new__(cls, (n, k, stars))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PartialDesign":
+        return cls(*iterable)
 
     def validate(self) -> list[str]:
         """All rule violations, empty when the design is valid.
@@ -264,7 +236,7 @@ class PartialDesign(_Record):
                 mask |= 1 << leaf
                 rows[leaf] ^= 1 << center
             rows[center] ^= mask
-        return Graph._of_rows(n, tuple(rows))
+        return Graph._make((n, tuple(rows)))
 
     def is_reducible(self) -> bool:
         """True iff the design admits the one-vertex reduction step.

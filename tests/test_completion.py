@@ -330,6 +330,20 @@ def test_small_order_construction_top_order():
     assert sorted(p.values, reverse=True)[0] == 2
 
 
+def test_small_order_validates_the_design_once(monkeypatch):
+    calls = []
+    validate = PartialDesign.validate
+
+    def validate_spy(self):
+        calls.append(self)
+        return validate(self)
+
+    d = seeded_design(9, 3, 3, seed=11)
+    monkeypatch.setattr(PartialDesign, "validate", validate_spy)
+    small_order_precentral(d)
+    assert calls == [d]
+
+
 def test_small_order_rejects_out_of_range_parameters():
     with pytest.raises(ValueError):
         small_order_precentral(seeded_design(13, 5, 0, seed=0))

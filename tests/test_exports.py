@@ -60,6 +60,9 @@ REMOVED = [
     ("stardeck.completion", None, "_check_degree_facts"),
     ("stardeck.completion", None, "_construction"),
     ("stardeck.designs", None, "CentralFunction"),
+    ("stardeck.designs", None, "_Record"),
+    ("stardeck.designs", None, "_rebuild"),
+    ("stardeck.designs", "Graph", "_of_rows"),
     ("stardeck.designs", "Graph", "complete"),
     ("stardeck.designs", "Graph", "degree"),
     ("stardeck.designs", "Graph", "has_edge"),

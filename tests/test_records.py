@@ -1,4 +1,4 @@
-"""The contract of stardeck's seven records: text, equality, hashing,
+"""The contract of stardeck's records: text, equality, hashing,
 immutability, copying and constructor defaults; and what importing the
 package loads."""
 
@@ -30,6 +30,12 @@ DESIGN = PartialDesign(4, 2, (STAR,))
 
 # (record, a record with one field changed, the fields in order, the repr)
 RECORDS = [
+    (
+        STAR,
+        Star(0, (1, 3)),
+        (0, (1, 2)),
+        "Star(center=0, leaves=(1, 2))",
+    ),
     (
         Graph(3, [(1, 0)]),
         Graph(3, [(1, 2)]),
@@ -85,6 +91,20 @@ def test_record_repr_equality_and_hash(record, other, values, text):
     assert record == twin and not record != twin
     assert record != other and not record == other
     assert hash(record) == hash(twin) == hash(values)
+
+
+@pytest.mark.parametrize("record, other, values, text", RECORDS, ids=IDS)
+def test_record_equals_its_field_tuple(record, other, values, text):
+    assert record == values and not record != values
+    assert tuple(record) == values
+
+
+def test_make_and_replace_normalize_stars():
+    replaced = PartialDesign(5, 2)._replace(stars=[(0, (2, 1))])
+    assert replaced.stars == (Star(0, (1, 2)),)
+    assert [type(star) for star in replaced.stars] == [Star]
+    made = Star._make((0, (3, 1, 1)))
+    assert made == Star(0, (1, 3)) and made.leaves == (1, 3)
 
 
 @pytest.mark.parametrize("record, other, values, text", RECORDS, ids=IDS)
