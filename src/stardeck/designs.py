@@ -306,7 +306,8 @@ def design_to_doc(design: PartialDesign) -> dict:
 def design_from_doc(doc: object) -> PartialDesign:
     """Parse a design document; unknown keys are ignored.
 
-    Raises ValueError with a description of the first structural problem.
+    Raises ValueError with a description of the first structural problem,
+    such as a star whose leaves list repeats a vertex.
     """
     if not isinstance(doc, dict):
         raise ValueError("design document must be a JSON object")
@@ -333,7 +334,12 @@ def design_from_doc(doc: object) -> PartialDesign:
             isinstance(x, int) and not isinstance(x, bool) for x in leaves
         ):
             raise ValueError(f"star {i}: 'leaves' must be a list of integers")
-        parsed.append(Star(center, leaves))
+        # Star() would drop a repeat, so a document could pass k + 1 entries
+        # off as a k-star
+        distinct = set(leaves)
+        if len(distinct) != len(leaves):
+            raise ValueError(f"star {i}: 'leaves' repeats a vertex")
+        parsed.append(_star(center, tuple(sorted(distinct))))
     return PartialDesign(n, k, tuple(parsed))
 
 

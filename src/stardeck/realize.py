@@ -38,29 +38,27 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
     vertex's unused non-parent edges two at a time and borrowing the parent
     edge when one is left over.
     """
-    n = graph.n
+    n, rows = graph
     labels = [*range(n)]
-    # each vertex's edges not yet paired
-    free = [*graph.rows]
-    seen = [False] * n
+    free = [*rows]  # each vertex's edges not yet paired
+    seen = 0
+    parent: list[int | None] = [None] * n
     stars: list[Star] = []
     for root in range(n):
-        if seen[root] or not graph.rows[root]:
+        if seen >> root & 1 or not rows[root]:
             continue
-        order = [root]
-        parent: dict[int, int | None] = {root: None}
-        seen[root] = True
-        qi = 0
-        while qi < len(order):
-            w = order[qi]
-            qi += 1
-            for y in _members(graph.rows[w], labels):
-                if not seen[y]:
-                    seen[y] = True
+        seen |= 1 << root
+        order = [root]  # grows while it is walked: a breadth-first search
+        degrees = 0
+        for w in order:
+            degrees += rows[w].bit_count()
+            reached = rows[w] & ~seen
+            if reached:
+                seen |= reached
+                for y in _members(reached, labels):
                     parent[y] = w
                     order.append(y)
-        comp_edge_count = sum(graph.rows[v].bit_count() for v in order) // 2
-        if comp_edge_count % 2 != 0:
+        if degrees // 2 % 2 != 0:
             return Infeasible("odd-component", frozenset(order))
         for v in reversed(order):
             par = parent[v]
@@ -73,10 +71,12 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
                 pending.append(par)
                 up = 0
             free[v] &= up
+            bit = 1 << v
             for y in pending:
-                free[y] ^= 1 << v
-            for i in range(0, len(pending), 2):
-                stars.append(Star(v, (pending[i], pending[i + 1])))
+                free[y] ^= bit
+            it = iter(pending)
+            for a, b in zip(it, it):
+                stars.append(_star(v, (a, b) if a < b else (b, a)))
     assert not any(free)
     return stars
 

@@ -345,6 +345,7 @@ _BAD_INPUTS = {
     "non-utf8": b'{"n":6,"k":3,"stars":[]}\xff\xfe',
     "non-object": b"[]",
     "deeply-nested": b"[" * 200_000,
+    "repeated-leaf": b'{"n":5,"k":2,"stars":[{"center":0,"leaves":[1,1,2]}]}',
 }
 
 
@@ -360,6 +361,8 @@ def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
     assert err.count("\n") == 1 and err.endswith("\n")
     if case == "non-utf8":
         assert err.startswith(f"cannot read {path}: ")
+    if case == "repeated-leaf":
+        assert err == "star 0: 'leaves' repeats a vertex\n"
 
 
 _INVALID_ORDERS = {

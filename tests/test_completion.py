@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stardeck import (
     CompletionDefect,
@@ -110,13 +110,16 @@ def test_helpers_check_parameters_before_building_a_leftover(monkeypatch):
     def refused(self):
         raise AssertionError("leftover built before the parameter checks")
 
+    # random_design builds a leftover of its own, so it runs unpatched
+    inadmissible = seeded_design(13, 5, 0, seed=0)
     monkeypatch.setattr(PartialDesign, "leftover", refused)
+    monkeypatch.setattr(PartialDesign, "_leftover", refused)
     with pytest.raises(ValueError):
         pad_to_threshold(PartialDesign(8, 3))
     with pytest.raises(ValueError):
         pad_to_threshold(PartialDesign(8, 0))  # no division by k = 0
     with pytest.raises(ValueError):
-        small_order_precentral(seeded_design(13, 5, 0, seed=0))
+        small_order_precentral(inadmissible)
 
 
 def test_pad_rejects_design_over_threshold():
@@ -232,8 +235,9 @@ def test_2stars_random_even_graphs():
 def _decompose_2stars_reference(graph: Graph) -> list[Star] | Infeasible:
     """decompose_2stars over a set of unused (low, high) edge tuples.
 
-    The package's decompose_2stars keys paired edges by int over the
-    adjacency rows; the two must give identical outputs.
+    The package's decompose_2stars walks its breadth-first search and marks
+    paired edges on the adjacency bitsets; the two must give the same stars
+    in the same order.
     """
     n = graph.n
     unused = set(sorted_edges(graph))
@@ -294,12 +298,26 @@ def _graphs_by_component_parity(draw: st.DrawFn) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _with_measured_leftovers(test):
+    """Adds the leftovers of seeded k = 2 designs with n <= 40, the sizes the
+    benchmark pairs, as explicit examples: 0, u/2 and u stars at each order.
+    With 0 stars the leftover is that of PartialDesign(n, 2), K_n itself,
+    which pairs at every admissible order and is odd at the others."""
+    for n in range(2, 41):
+        u = max(threshold_u(n, 2), 0)
+        for m in sorted({0, u // 2, u}):
+            test = example(random_design(n, 2, m, random.Random(n))._leftover())(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(_graphs_by_component_parity())
+@_with_measured_leftovers
 def test_2stars_match_edge_set_reference(g):
     out = decompose_2stars(g)
     assert out == _decompose_2stars_reference(g)
     if not isinstance(out, Infeasible):
+        assert all(type(star) is Star for star in out)
         assert verify_decomposition(g, 2, out)
 
 

@@ -133,10 +133,18 @@ def test_plain_pairs_become_stars():
     assert PartialDesign(5, 2, [star]).stars[0] is star
 
 
-def test_duplicated_json_leaf_counts_once():
-    d = loads_design('{"n":6,"k":3,"stars":[{"center":0,"leaves":[2,1,2]}]}')
-    assert d.stars[0].leaves == (1, 2)
-    assert d.validate() == ["star 0: has 2 leaves, expected 3"]
+@pytest.mark.parametrize("text", [
+    # k + 1 entries with one repeat would pass as a valid 2-star
+    '{"n":5,"k":2,"stars":[{"center":0,"leaves":[1,1,2]}]}',
+    # k entries with one repeat would read as too few leaves
+    '{"n":6,"k":3,"stars":[{"center":0,"leaves":[2,1,2]}]}',
+])
+def test_repeated_json_leaf_is_refused(text):
+    with pytest.raises(ValueError) as info:
+        loads_design(text)
+    assert str(info.value) == "star 0: 'leaves' repeats a vertex"
+    # the library's Star() still drops repeats
+    assert Star(0, [2, 1, 2]) == Star(0, (1, 2))
 
 
 # ----------------------------------------------------------- admissibility / u
