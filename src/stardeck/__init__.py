@@ -5,8 +5,6 @@ from .completion import (
     CompletionResult,
     complete,
     pad_to_threshold,
-    reduce_design,
-    small_order_precentral,
 )
 from .designs import (
     Graph,
@@ -78,8 +76,6 @@ __all__ = [
     "pad_to_threshold",
     "random_design",
     "realize",
-    "reduce_design",
-    "small_order_precentral",
     "suitable",
     "threshold_u",
 ]

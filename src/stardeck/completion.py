@@ -3,9 +3,10 @@
 Any partial design of admissible order n >= 2k with at most u(n, k) stars is
 completable, and this module actually builds the completion.  For k = 2 the
 leftover is paired into 2-stars directly.  For k >= 3 the paper's
-construction pads up to the threshold, peels off a reducible vertex when
-possible, then dispatches on the order regime (the rotational design at
-n = 2k, a closed-form precentral function for small orders, the repaired
+construction pads up to the threshold, removes a vertex that centers stars
+but is a leaf of none if there is one (:func:`reduce_design`), then
+dispatches on the order regime (the rotational design at n = 2k, the
+closed-form :func:`small_order_precentral` for small orders, the repaired
 minimal precentral function beyond).  :func:`decide`, which ``complete`` and
 ``has_completion`` share, also decides every other valid design: by the order
 rules, then over the threshold by certificates and constructions first, the
@@ -22,7 +23,6 @@ from .designs import (
     PartialDesign,
     Star,
     _members,
-    _reduction_vertex,
     _star,
     design_to_doc,
     is_admissible,
@@ -115,58 +115,41 @@ def _pad(k: int, rows: list[int], stars: list[Star], target: int,
         stars.append(_star(center, tuple(leaves)))
 
 
-def reduce_design(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
-    """Remove the smallest vertex that centers stars but is a leaf of none.
+def _reduction_vertex(stars: Sequence[Star]) -> int | None:
+    """Smallest vertex that centers one of the stars and is a leaf of none."""
+    leaves = set().union(*(leaves for _, leaves in stars))
+    return min((c for c, _ in stars if c not in leaves), default=None)
 
-    Only defined for reducible designs (order 1 mod k, exactly u stars, such
-    a vertex present).  Returns the relabeled smaller design, the removed
-    vertex, and its stars under the original labels.  No remaining star
-    touches the removed vertex, so dropping it is clean.
+
+def reduce_design(k: int, rows: list[int], stars: Sequence[Star],
+                  x: int) -> tuple[list[Star], list[Star]]:
+    """The reduction step at x, which centers some of ``stars`` but is a
+    leaf of none: returns the other stars and x's own, old and new.
+
+    x's free edges in the leftover ``rows``, in k-sized ascending blocks,
+    become its new stars and are cleared from ``rows``.  No underscore: the
+    benchmark's tracer wraps the step by this name.
     """
-    if not design.is_reducible():
-        raise ValueError("design is not reducible")
-    n, k = design.n, design.k
-    x = _reduction_vertex(n, design.stars)
-    assert x is not None
-    removed = tuple(s for s in design.stars if s.center == x)
-    # every label above x moves down one; the stars share the table's ints
-    label = [*range(x + 1), *range(x, n - 1)]
-    kept = [
-        _star(label[center], tuple([label[v] for v in leaves]))
-        for center, leaves in design.stars if center != x
-    ]
-    return PartialDesign(n - 1, k, kept), x, removed
+    own = [s for s in stars if s.center == x]
+    free = _members(rows[x], range(len(rows)))
+    assert len(free) % k == 0
+    own.extend(_star(x, tuple(free[i:i + k])) for i in range(0, len(free), k))
+    rows[x] = 0
+    for v in free:
+        rows[v] ^= 1 << x
+    return [s for s in stars if s.center != x], own
 
 
-def small_order_precentral(design: PartialDesign) -> Precentral:
+def small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
+                           vertices: Sequence[int]) -> Precentral:
     """Closed-form realisable precentral function for small orders.
 
-    Covers non-reducible designs with exactly u(n, k) stars, k >= 3, in the
-    range 2k+1 < n <= 3k+1 (the top order only at odd k, where it is
-    admissible).  Centers get 2 minus their star count; a computed number of
-    highest-leftover-degree non-centers get 2; everyone else gets 1.
+    The design on ``vertices``, n of them, with k >= 3 and 2k+1 < n <= 3k+1,
+    has these stars, exactly u(n, k) and no reduction vertex, and this
+    leftover.  Centers get 2 minus their star count, a computed number of
+    the non-centers of highest leftover degree 2, the rest 1, any vertex
+    outside ``vertices`` 0.  No underscore: the tracer wraps it by this name.
     """
-    n, k = design.n, design.k
-    if k < 3:
-        raise ValueError("small_order_precentral requires k >= 3")
-    if not is_admissible(n, k):
-        raise ValueError(f"n={n} is not admissible for k={k}")
-    if not (2 * k + 1 < n <= 3 * k + 1):
-        raise ValueError(f"order n={n} outside range 2k+1 < n <= 3k+1 for k={k}")
-    if n == 3 * k + 1 and k % 2 == 0:
-        raise ValueError(f"order n=3k+1 needs odd k, got k={k}")
-    if len(design.stars) != threshold_u(n, k):
-        raise ValueError("design must have exactly u(n, k) stars")
-    if design.is_reducible():
-        raise ValueError("design must be non-reducible")
-    return _small_order_precentral(k, design._leftover(), design.stars, range(n))
-
-
-def _small_order_precentral(k: int, leftover: Graph, stars: Iterable[Star],
-                            vertices: Sequence[int]) -> Precentral:
-    """:func:`small_order_precentral` of the design on ``vertices`` with the
-    given stars and leftover; any other vertex of the leftover is isolated
-    and gets 0."""
     n = len(vertices)
     central = [0] * leftover.n
     for center, _ in stars:
@@ -345,23 +328,13 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
     stars = [*design.stars]
     rows = [*leftover.rows]
     _pad(k, rows, stars, threshold_u(n, k), trace)
-    x = _reduction_vertex(n, stars) if n % k == 1 else None
+    x = _reduction_vertex(stars) if n % k == 1 else None
     own: list[Star] = []
     steps = trace
     if x is not None:
-        # x's free edges, in k-sized ascending blocks, become its own stars.
-        # That isolates x, and the rest of the leftover is the leftover of
-        # the order n - 1 design of the other stars.  That order is 0 mod k,
-        # so the design is not reducible again.
+        # the reduced order is 0 mod k, so that design is not reducible again
         trace.append(f"reduce@{x}")
-        own = [s for s in stars if s.center == x]
-        stars = [s for s in stars if s.center != x]
-        free = _members(rows[x], range(n))
-        assert len(free) % k == 0
-        own.extend(_star(x, tuple(free[i:i + k])) for i in range(0, len(free), k))
-        rows[x] = 0
-        for v in free:
-            rows[v] ^= 1 << x
+        stars, own = reduce_design(k, rows, stars, x)
         steps = []
         _pad(k, rows, stars, threshold_u(n - 1, k), steps)
     # the design on these vertices has exactly u stars and is not reducible
@@ -381,7 +354,7 @@ def _completed_stars(design: PartialDesign, leftover: Graph,
         leftover = Graph._make((n, tuple(rows)))
         if order <= 3 * k + 1:
             steps.append("construction=small-order")
-            p = _small_order_precentral(k, leftover, stars, vertices)
+            p = small_order_precentral(k, leftover, stars, vertices)
         else:
             steps.append("construction=suitable")
             p = suitable(leftover, k)

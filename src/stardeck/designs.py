@@ -9,7 +9,7 @@ when the stars cover every edge of the complete graph K_n.
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
@@ -174,22 +174,32 @@ class PartialDesign(_DesignFields):
             # the marked diagonal and a repeated edge its own mark
             seen = bytearray(n * n)
             seen[::n + 1] = b"\x01" * n
-            for center, leaves in stars:
-                if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
-                    break
-                for leaf in leaves:
-                    seen[center * n + leaf if center < leaf else leaf * n + center] = 1
-            else:
-                if seen.count(1) == n + leaves_held:
-                    return []
+            try:
+                for center, leaves in stars:
+                    if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
+                        break
+                    for leaf in leaves:
+                        seen[center * n + leaf if center < leaf else leaf * n + center] = 1
+                else:
+                    if seen.count(1) == n + leaves_held:
+                        return []
+            except TypeError:
+                pass  # a vertex that is not an int, which the loop words
         out: list[str] = []
         if n < 1:
             out.append(f"n must be >= 1, got {n}")
         if k < 2:
             out.append(f"k must be >= 2, got {k}")
+        all_ints = {*map(type, chain(map(itemgetter(0), stars), *map(itemgetter(1), stars)))} <= {int}
         # a covered edge {a, b}, a < b, is keyed by the int a * n + b
         covered: dict[int, int] = {}
         for i, (center, leaves) in enumerate(self.stars):
+            if not all_ints:  # a star with a vertex that is no int gets no other check
+                odd = [f"star {i}: {'leaf' if j else 'center'} {v!r} is not an integer"
+                       for j, v in enumerate((center, *leaves)) if not isinstance(v, int)]
+                if odd:
+                    out += odd
+                    continue
             ok = 0 <= center < n
             if not ok:
                 out.append(f"star {i}: center {center} out of range")
@@ -237,27 +247,6 @@ class PartialDesign(_DesignFields):
                 rows[leaf] ^= 1 << center
             rows[center] ^= mask
         return Graph._make((n, tuple(rows)))
-
-    def is_reducible(self) -> bool:
-        """True iff the design admits the one-vertex reduction step.
-
-        Requires order n = 1 (mod k), exactly u(n, k) stars, and a vertex
-        that centers at least one star while being a leaf of none.
-        """
-        self._require_valid()
-        if self.n % self.k != 1:
-            return False
-        if self.n < 2 or len(self.stars) != threshold_u(self.n, self.k):
-            return False
-        return _reduction_vertex(self.n, self.stars) is not None
-
-
-def _reduction_vertex(n: int, stars: Sequence[Star]) -> int | None:
-    """Smallest vertex of 0..n-1 centering one of the stars and a leaf of none."""
-    leaves = set().union(*(leaves for _, leaves in stars))
-    return min(
-        (c for c, _ in stars if 0 <= c < n and c not in leaves), default=None
-    )
 
 
 def random_design(n: int, k: int, m: int, rng: Random) -> PartialDesign:

@@ -27,11 +27,9 @@ class Precentral(NamedTuple):
 
     @classmethod
     def of_graph(cls, graph: Graph, k: int, values: Sequence[int]) -> "Precentral":
-        vals = tuple([*map(int, values)])
         if k < 2:
             raise ValueError("k must be >= 2")
-        if len(vals) != graph.n:
-            raise ValueError(f"expected {graph.n} values, got {len(vals)}")
+        vals = vertex_values(values, graph.n)
         if any(v < 0 for v in vals):
             raise ValueError("precentral values must be nonnegative")
         if sum(vals) * k != graph.edge_count:
@@ -58,8 +56,12 @@ VertexFunction = Union[Precentral, Sequence[int]]
 
 
 def vertex_values(p: VertexFunction, n: int) -> tuple[int, ...]:
-    """Normalize a Precentral or plain sequence to a length-n value tuple."""
-    vals = p.values if isinstance(p, Precentral) else tuple([*map(int, p)])
+    """A Precentral or sequence as a length-n tuple of ints; 1.5 is refused."""
+    given = p.values if isinstance(p, Precentral) else tuple(p)
+    vals = tuple([*map(int, given)])
+    if vals != given:
+        raise ValueError("vertex values must be integers, got "
+                         f"{next(v for v, i in zip(given, vals) if v != i)!r}")
     if len(vals) != n:
         raise ValueError(f"expected {n} values, got {len(vals)}")
     return vals

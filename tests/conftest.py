@@ -52,6 +52,21 @@ def seeded_design_at_most_u(n: int, k: int, seed: int) -> PartialDesign:
     return random_design(n, k, m, rng)
 
 
+def is_reducible(design: PartialDesign) -> bool:
+    """True iff the design admits the one-vertex reduction step.
+
+    Requires a valid design of order n = 1 (mod k) with exactly u(n, k)
+    stars and a vertex that centers at least one star while being a leaf
+    of none.
+    """
+    assert design.validate() == []
+    n, k = design.n, design.k
+    if n % k != 1 or n < 2 or len(design.stars) != threshold_u(n, k):
+        return False
+    leaves = {v for _, star_leaves in design.stars for v in star_leaves}
+    return any(center not in leaves for center, _ in design.stars)
+
+
 # --- reference checkers: independent of the constructions they check --------
 
 def neighbors(graph: Graph, v: int) -> list[int]:
@@ -118,6 +133,11 @@ def validate_reference(design: PartialDesign) -> list[str]:
     # a covered edge {a, b}, a < b, is keyed by the int a * n + b
     covered: dict[int, int] = {}
     for i, (center, leaves) in enumerate(design.stars):
+        odd = [f"star {i}: {'leaf' if j else 'center'} {v!r} is not an integer"
+               for j, v in enumerate((center, *leaves)) if not isinstance(v, int)]
+        if odd:
+            out += odd
+            continue
         ok = 0 <= center < n
         if not ok:
             out.append(f"star {i}: center {center} out of range")

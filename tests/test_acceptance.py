@@ -33,6 +33,7 @@ from stardeck import (
 
 from conftest import (
     delta_t,
+    is_reducible,
     sorted_edges,
     subset_check,
     threshold_u_ab,
@@ -163,7 +164,7 @@ def test_criterion_5_precentral_invariants():
     while instances < 300:
         n = orders[instances % len(orders)]
         d = random_design(n, 3, threshold_u(n, 3), rng)
-        if d.is_reducible():
+        if is_reducible(d):
             continue
         left = d.leftover()
         m = minimal(left, 3)

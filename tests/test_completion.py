@@ -29,8 +29,6 @@ from stardeck import (
     pad_to_threshold,
     random_design,
     realize,
-    reduce_design,
-    small_order_precentral,
     suitable,
     threshold_u,
 )
@@ -39,6 +37,7 @@ from stardeck.completion import _merged
 
 from conftest import (
     graphs,
+    is_reducible,
     neighbors,
     seeded_design,
     seeded_design_at_most_u,
@@ -110,16 +109,12 @@ def test_helpers_check_parameters_before_building_a_leftover(monkeypatch):
     def refused(self):
         raise AssertionError("leftover built before the parameter checks")
 
-    # random_design builds a leftover of its own, so it runs unpatched
-    inadmissible = seeded_design(13, 5, 0, seed=0)
     monkeypatch.setattr(PartialDesign, "leftover", refused)
     monkeypatch.setattr(PartialDesign, "_leftover", refused)
     with pytest.raises(ValueError):
         pad_to_threshold(PartialDesign(8, 3))
     with pytest.raises(ValueError):
         pad_to_threshold(PartialDesign(8, 0))  # no division by k = 0
-    with pytest.raises(ValueError):
-        small_order_precentral(inadmissible)
 
 
 def test_pad_rejects_design_over_threshold():
@@ -167,25 +162,25 @@ def test_reduce_doubled_center():
     d = PartialDesign(
         7, 3, (Star(0, frozenset({1, 2, 3})), Star(0, frozenset({4, 5, 6})))
     )
-    smaller, x, removed = reduce_design(d)
-    assert x == 0
-    assert removed == d.stars
-    assert smaller == PartialDesign(6, 3)
+    assert completion._reduction_vertex(d.stars) == 0
+    rows = [*d.leftover().rows]
+    assert completion.reduce_design(3, rows, d.stars, 0) == ([], [*d.stars])
+    assert rows == [*d.leftover().rows]  # x had no free edge left
 
 
-def test_reduce_picks_smallest_qualifying_vertex_and_renumbers():
+def test_reduce_picks_smallest_qualifying_vertex_on_the_original_labels():
     d = PartialDesign(
         7, 3, (Star(0, frozenset({1, 2, 3})), Star(1, frozenset({4, 5, 6})))
     )
-    smaller, x, removed = reduce_design(d)
-    assert x == 0
-    assert removed == (Star(0, frozenset({1, 2, 3})),)
-    assert smaller == PartialDesign(6, 3, (Star(0, frozenset({3, 4, 5})),))
-
-
-def test_reduce_rejects_non_reducible():
-    with pytest.raises(ValueError):
-        reduce_design(PartialDesign(9, 3))
+    assert completion._reduction_vertex(d.stars) == 0
+    rows = [*d.leftover().rows]
+    # x's free edges, to 4, 5 and 6, become its second star
+    assert completion.reduce_design(3, rows, d.stars, 0) == (
+        [Star(1, (4, 5, 6))], [Star(0, (1, 2, 3)), Star(0, (4, 5, 6))]
+    )
+    assert rows == [*PartialDesign(7, 3, (
+        Star(0, (1, 2, 3)), Star(0, (4, 5, 6)), Star(1, (4, 5, 6)),
+    )).leftover().rows]
 
 
 # ------------------------------------------------------------ decompose_2stars
@@ -324,11 +319,15 @@ def test_2stars_match_edge_set_reference(g):
 # ------------------------------------------------------- small_order_precentral
 
 
+def _small_order(d: PartialDesign) -> Precentral:
+    return completion.small_order_precentral(d.k, d.leftover(), d.stars, range(d.n))
+
+
 def test_small_order_construction_midrange():
     # order 3k with three distinct centers: no boosted vertices needed
     d = seeded_design(9, 3, 3, seed=11)
     assert len(set(s.center for s in d.stars)) == 3
-    p = small_order_precentral(d)
+    p = _small_order(d)
     assert sum(p.values) == 9
     central = Counter(s.center for s in d.stars)
     for x in range(9):
@@ -341,32 +340,11 @@ def test_small_order_construction_top_order():
     d = next(
         d
         for d in (seeded_design(10, 3, 4, seed=s) for s in range(100))
-        if not d.is_reducible() and len(set(s.center for s in d.stars)) == 4
+        if not is_reducible(d) and len(set(s.center for s in d.stars)) == 4
     )
-    p = small_order_precentral(d)
+    p = _small_order(d)
     assert sum(p.values) == 11
     assert sorted(p.values, reverse=True)[0] == 2
-
-
-def test_small_order_validates_the_design_once(monkeypatch):
-    calls = []
-    validate = PartialDesign.validate
-
-    def validate_spy(self):
-        calls.append(self)
-        return validate(self)
-
-    d = seeded_design(9, 3, 3, seed=11)
-    monkeypatch.setattr(PartialDesign, "validate", validate_spy)
-    small_order_precentral(d)
-    assert calls == [d]
-
-
-def test_small_order_rejects_out_of_range_parameters():
-    with pytest.raises(ValueError):
-        small_order_precentral(seeded_design(13, 5, 0, seed=0))
-    with pytest.raises(ValueError):
-        small_order_precentral(PartialDesign(6, 3, (Star(0, frozenset({1, 2, 3})),)))
 
 
 # ------------------------------------------------------------------- complete
@@ -560,7 +538,7 @@ def test_complete_small_order_route():
     d = next(
         d
         for d in (seeded_design(10, 3, 4, seed=s) for s in range(100))
-        if not d.is_reducible()
+        if not is_reducible(d)
     )
     r = complete(d)
     _assert_completed(d, r)
@@ -803,10 +781,12 @@ def test_every_construction_builds_ascending_leaves():
                 if m <= u:
                     padded = pad_to_threshold(d)
                     _assert_ascending(padded.stars)
-                    if padded.is_reducible():
-                        smaller, _, removed = reduce_design(padded)
-                        _assert_ascending(smaller.stars)
-                        _assert_ascending(removed)
+                    if is_reducible(padded):
+                        x = completion._reduction_vertex(padded.stars)
+                        rows = [*padded.leftover().rows]
+                        others, own = completion.reduce_design(k, rows, padded.stars, x)
+                        _assert_ascending(others)
+                        _assert_ascending(own)
                 r = complete(d, oracle_budget=1000)
                 if r.outcome == "completed":
                     _assert_ascending(r.design.stars)

@@ -31,9 +31,16 @@ from stardeck import (
     random_design,
     threshold_u,
 )
-from stardeck.designs import _members, _reduction_vertex
+from stardeck.completion import _reduction_vertex
+from stardeck.designs import _members
 
-from conftest import seeded_design, sorted_edges, threshold_u_ab
+from conftest import (
+    is_reducible,
+    seeded_design,
+    sorted_edges,
+    threshold_u_ab,
+    validate_reference,
+)
 
 
 # ---------------------------------------------------------------- stars/graphs
@@ -236,6 +243,17 @@ def test_validate_leaf_out_of_range():
     assert d.validate() == ["star 0: leaf 9 out of range"]
 
 
+@pytest.mark.parametrize("n", [5, 40])  # byte table first, loop only
+def test_validate_words_a_vertex_that_is_not_an_integer(n):
+    d = PartialDesign(n, 2, [(0, (1.5, 2)), (2.0, (3, 4))])
+    assert d.validate() == [
+        "star 0: leaf 1.5 is not an integer",
+        "star 1: center 2.0 is not an integer",
+    ] == validate_reference(d)
+    with pytest.raises(ValueError, match="leaf 1.5 is not an integer"):
+        complete(d)
+
+
 def test_validate_names_first_coverer_of_each_repeat():
     d = PartialDesign(6, 2, (
         Star(0, frozenset({1, 2})),
@@ -383,8 +401,8 @@ def test_reducible_doubled_center():
     d = PartialDesign(
         7, 3, (Star(0, frozenset({1, 2, 3})), Star(0, frozenset({4, 5, 6})))
     )
-    assert d.is_reducible()
-    assert _reduction_vertex(d.n, d.stars) == 0
+    assert is_reducible(d)
+    assert _reduction_vertex(d.stars) == 0
 
 
 def test_not_reducible_when_every_center_is_a_leaf():
@@ -395,20 +413,21 @@ def test_not_reducible_when_every_center_is_a_leaf():
     d = PartialDesign(13, 3, stars)
     assert d.validate() == []
     assert len(d.stars) == threshold_u(13, 3)
-    assert not d.is_reducible()
-    assert _reduction_vertex(d.n, d.stars) is None
+    assert not is_reducible(d)
+    assert _reduction_vertex(d.stars) is None
+    assert _reduction_vertex(()) is None
 
 
 def test_not_reducible_below_threshold_star_count():
     d = PartialDesign(7, 3, (Star(0, frozenset({1, 2, 3})),))
     assert d.validate() == []
-    assert not d.is_reducible()
+    assert not is_reducible(d)
 
 
 def test_not_reducible_when_order_not_one_mod_k():
     d = seeded_design(9, 3, 3, seed=11)
     assert d.validate() == []
-    assert not d.is_reducible()
+    assert not is_reducible(d)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -418,7 +437,7 @@ def test_order_2k_plus_1_threshold_designs_always_reducible(k):
     for seed in range(40):
         d = seeded_design(n, k, u, seed=seed)
         assert d.validate() == []
-        assert d.is_reducible()
+        assert is_reducible(d)
 
 
 # ------------------------------------------------------------- random designs

@@ -6,11 +6,14 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stardeck
+from stardeck import completion
 
 EXPORTS = [
     "BadEdge",
@@ -44,8 +47,6 @@ EXPORTS = [
     "pad_to_threshold",
     "random_design",
     "realize",
-    "reduce_design",
-    "small_order_precentral",
     "suitable",
     "threshold_u",
 ]
@@ -55,13 +56,17 @@ EXPORTS = [
 REMOVED = [
     ("stardeck", None, "default_budget"),
     ("stardeck", None, "delta_t"),
+    ("stardeck", None, "reduce_design"),
+    ("stardeck", None, "small_order_precentral"),
     ("stardeck", None, "subset_check"),
     ("stardeck", None, "verify_decomposition"),
     ("stardeck.completion", None, "_check_degree_facts"),
     ("stardeck.completion", None, "_construction"),
+    ("stardeck.completion", None, "_small_order_precentral"),
     ("stardeck.designs", None, "CentralFunction"),
     ("stardeck.designs", None, "_Record"),
     ("stardeck.designs", None, "_rebuild"),
+    ("stardeck.designs", None, "_reduction_vertex"),
     ("stardeck.designs", "Graph", "_of_rows"),
     ("stardeck.designs", "Graph", "complete"),
     ("stardeck.designs", "Graph", "degree"),
@@ -69,6 +74,7 @@ REMOVED = [
     ("stardeck.designs", "Graph", "neighbors"),
     ("stardeck.designs", "Graph", "sorted_edges"),
     ("stardeck.designs", "PartialDesign", "central_function"),
+    ("stardeck.designs", "PartialDesign", "is_reducible"),
     ("stardeck.designs", "PartialDesign", "reduction_vertex"),
     ("stardeck.designs", "Star", "sorted_leaves"),
     ("stardeck.oracle", None, "_BudgetExceeded"),
@@ -157,6 +163,38 @@ def test_every_tracer_target_resolves():
     for _, modname, cls, attr in targets:
         dotted = attr if cls is None else f"{cls}.{attr}"
         assert callable(_resolve(modname, dotted)), (modname, dotted)
+
+
+def test_traced_steps_run_once_per_trace_entry(monkeypatch):
+    # the tracer counts a layer only when the pipeline calls it by the
+    # name it wraps, so a step that is inlined or renamed reads 0
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(completion, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("reduce_design", "small_order_precentral"):
+        monkeypatch.setattr(completion, name, counting(name))
+    rng = random.Random(29)
+    entries = Counter()
+    for k in (3, 4, 5):
+        for n in range(2 * k, 41):
+            if not stardeck.is_admissible(n, k):
+                continue
+            for _ in range(4):
+                m = rng.randint(0, stardeck.threshold_u(n, k))
+                d = stardeck.random_design(n, k, m, rng)
+                trace = ";".join(stardeck.complete(d).trace)
+                entries["reduce_design"] += trace.count("reduce@")
+                entries["small_order_precentral"] += trace.count(
+                    "construction=small-order")
+    assert calls == entries
+    assert min(entries.values()) > 0
 
 
 @pytest.mark.parametrize("modname, dotted", BENCHMARK_CALLS)

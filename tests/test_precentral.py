@@ -19,11 +19,12 @@ from stardeck import (
     find_bad,
     minimal,
     random_design,
+    realize,
     suitable,
     threshold_u,
 )
 
-from conftest import delta_t, graphs, graphs_divisible, sorted_edges
+from conftest import delta_t, graphs, graphs_divisible, is_reducible, sorted_edges
 
 
 def _exhaustive_min_abs_residue(g: Graph, k: int) -> Fraction:
@@ -78,6 +79,12 @@ def test_of_graph_validates_sum_and_sign():
         Precentral.of_graph(g, 3, [1, 1, 1, 1, 1, 1])
     with pytest.raises(ValueError):
         Precentral.of_graph(g, 3, [2, 1, 1, 1, 1, -1])
+    # int() would round these to (0, 1, 0, 1), whose sum fits the 4-cycle
+    cycle = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="integers, got 0.9"):
+        Precentral.of_graph(cycle, 2, [0.9, 1.5, 0, 1.2])
+    with pytest.raises(ValueError, match="integers, got 0.9"):
+        realize(cycle, 2, [0.9, 1.5, 0, 1.2])
 
 
 # -------------------------------------------------------------------- residues
@@ -248,7 +255,7 @@ def test_suitable_repairs_flaws_on_threshold_design_leftovers():
         u = threshold_u(n, 3)
         for _ in range(25):
             d = random_design(n, 3, u, rng)
-            if d.is_reducible():
+            if is_reducible(d):
                 continue
             left = d.leftover()
             s = suitable(left, 3)

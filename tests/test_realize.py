@@ -35,10 +35,12 @@ from conftest import (
 )
 
 
-def _random_instance(rng: random.Random) -> tuple[Graph, int, list[int]]:
-    """Random (graph, k, p) with the precentral sum constraint satisfied."""
-    k = rng.choice([2, 3, 4])
-    n = rng.randint(2, 10)
+def _random_instance(rng: random.Random, ks: tuple[int, ...],
+                     max_n: int) -> tuple[Graph, int, list[int]]:
+    """Random (graph, k, p), k in ``ks`` and 2 <= n <= ``max_n``, with the
+    precentral sum constraint satisfied."""
+    k = rng.choice(ks)
+    n = rng.randint(2, max_n)
     pool = list(combinations(range(n), 2))
     rng.shuffle(pool)
     edges = pool[: rng.randint(0, len(pool))]
@@ -172,11 +174,15 @@ def test_verify_rejects_repeated_leaf():
 # ----------------------------------------------------------------- equivalence
 
 
-def test_realize_agrees_with_subset_check():
-    rng = random.Random(2024)
+@pytest.mark.parametrize("ks, max_n, seed, count, floor", [
+    ((2, 3, 4), 10, 2024, 250, 30),
+    ((2, 3), 9, 77, 120, 15),
+], ids=["seed2024", "seed77"])
+def test_realize_agrees_with_subset_check(ks, max_n, seed, count, floor):
+    rng = random.Random(seed)
     feasible = infeasible = 0
-    for _ in range(250):
-        g, k, p = _random_instance(rng)
+    for _ in range(count):
+        g, k, p = _random_instance(rng, ks, max_n)
         out = realize(g, k, p)
         verdict = subset_check(g, k, p)
         if isinstance(out, Infeasible):
@@ -187,7 +193,7 @@ def test_realize_agrees_with_subset_check():
             feasible += 1
             assert verdict is None
             assert verify_decomposition(g, k, out, p)
-    assert feasible >= 30 and infeasible >= 30
+    assert feasible >= floor and infeasible >= floor
 
 
 # ------------------------------------------------------------------- reference

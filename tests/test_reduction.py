@@ -3,15 +3,18 @@
 ``complete`` reduces a threshold design of order n = 1 (mod k) at a vertex
 x on the original labels: x's free edges become its stars and the rest is
 completed around the isolated x.  The reference below does the same step
-the long way round, through the public helpers: renumber the other stars
-down to order n - 1, complete that design on its own, renumber its stars
-back up, then add x's stars.  Both must give the same document, byte for
-byte, trace included.
+the long way round: renumber the other stars down to order n - 1, complete
+that design on its own, renumber its stars back up, then add x's stars.
+Both must give the same document, byte for byte, trace included.  The
+renumbering and the choice of x live here, not in the package, so the
+package's step is checked against code it does not share.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from stardeck import (
     CompletionResult,
@@ -22,9 +25,56 @@ from stardeck import (
     design_exists,
     pad_to_threshold,
     random_design,
-    reduce_design,
     threshold_u,
 )
+
+from conftest import is_reducible
+
+
+def renumbered(design: PartialDesign) -> tuple[PartialDesign, int, tuple[Star, ...]]:
+    """Remove the smallest vertex that centers stars but is a leaf of none.
+
+    Only defined for reducible designs (order 1 mod k, exactly u stars, such
+    a vertex present).  Returns the smaller design with every label above
+    the removed vertex moved down one, the removed vertex, and its stars
+    under the original labels.  No remaining star touches the removed
+    vertex, so dropping it is clean.
+    """
+    if not is_reducible(design):
+        raise ValueError("design is not reducible")
+    n, k = design.n, design.k
+    leaves = {v for _, star_leaves in design.stars for v in star_leaves}
+    x = min(center for center, _ in design.stars if center not in leaves)
+    removed = tuple(s for s in design.stars if s.center == x)
+    label = [*range(x + 1), *range(x, n - 1)]
+    kept = [Star(label[center], [label[v] for v in leaves])
+            for center, leaves in design.stars if center != x]
+    return PartialDesign(n - 1, k, kept), x, removed
+
+
+def test_renumbered_doubled_center():
+    d = PartialDesign(
+        7, 3, (Star(0, frozenset({1, 2, 3})), Star(0, frozenset({4, 5, 6})))
+    )
+    smaller, x, removed = renumbered(d)
+    assert x == 0
+    assert removed == d.stars
+    assert smaller == PartialDesign(6, 3)
+
+
+def test_renumbered_picks_smallest_qualifying_vertex_and_renumbers():
+    d = PartialDesign(
+        7, 3, (Star(0, frozenset({1, 2, 3})), Star(1, frozenset({4, 5, 6})))
+    )
+    smaller, x, removed = renumbered(d)
+    assert x == 0
+    assert removed == (Star(0, frozenset({1, 2, 3})),)
+    assert smaller == PartialDesign(6, 3, (Star(0, frozenset({3, 4, 5})),))
+
+
+def test_renumbered_rejects_non_reducible():
+    with pytest.raises(ValueError):
+        renumbered(PartialDesign(9, 3))
 
 
 def _reference(design: PartialDesign) -> CompletionResult:
@@ -34,7 +84,7 @@ def _reference(design: PartialDesign) -> CompletionResult:
     u = threshold_u(n, k)
     if len(design.stars) < u:
         trace.append(f"pad+{u - len(design.stars)}")
-    smaller, x, removed = reduce_design(pad_to_threshold(design))
+    smaller, x, removed = renumbered(pad_to_threshold(design))
     trace.append(f"reduce@{x}")
     sub = complete(smaller)
     assert sub.outcome == "completed"
@@ -65,7 +115,7 @@ def _reducible_designs():
             found = 0
             for m in [u, 0, *(rng.randint(0, u) for _ in range(40))]:
                 d = random_design(n, k, m, rng)
-                if pad_to_threshold(d).is_reducible():
+                if is_reducible(pad_to_threshold(d)):
                     yield d
                     found += 1
                     if found == 6:
