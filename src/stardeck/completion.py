@@ -193,7 +193,7 @@ def _order_2k(star: Star, vertices: Sequence[int]) -> list[Star]:
     w, k = leaves[-1], len(leaves)
     # the ring twice over, so the k - 1 vertices after i are one slice
     ring = [center, *leaves[:-1], *(v for v in vertices if v != center and v not in leaves)] * 2
-    return [Star(ring[i], [w, *ring[i + 1:i + k]]) for i in range(1, 2 * k - 1)]
+    return [_star(ring[i], tuple(sorted([w, *ring[i + 1:i + k]]))) for i in range(1, 2 * k - 1)]
 
 
 def _merged(n: int, k: int, stars: Iterable[Star],

@@ -9,7 +9,7 @@ when the stars cover every edge of the complete graph K_n.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 from random import Random
 from typing import Iterable, NamedTuple, Sequence
@@ -25,14 +25,23 @@ class Star(_StarFields):
 
     An immutable pair of the center and the leaves, a tuple of distinct ints
     in ascending order.  ``Star(center, leaves)`` takes any iterable of
-    leaves and drops repeats, so stars built from equal leaf sets are equal
-    and hash alike; ``_make`` and ``_replace`` go through it too.
+    leaves, so stars built from equal leaf sets are equal and hash alike.  It
+    refuses with ``ValueError`` a center, then a leaf, that is not an ``int``
+    (a bool included), then a repeated leaf; ``_make`` and ``_replace`` too.
     """
 
     __slots__ = ()
 
     def __new__(cls, center: int, leaves: Iterable[int]) -> "Star":
-        return tuple.__new__(cls, (center, tuple(sorted(set(leaves)))))
+        if type(center) is not int:
+            raise ValueError("'center' must be an integer")
+        leaves = [*leaves]
+        if not {*map(type, leaves)} <= {int}:
+            raise ValueError("'leaves' must be a list of integers")
+        distinct = sorted({*leaves})
+        if len(distinct) != len(leaves):
+            raise ValueError("'leaves' repeats a vertex")
+        return tuple.__new__(cls, (center, tuple(distinct)))
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "Star":
@@ -40,8 +49,8 @@ class Star(_StarFields):
 
 
 def _star(center: int, leaves: tuple[int, ...]) -> Star:
-    """A star on leaves the caller already holds as an ascending tuple of
-    distinct ints; unlike ``Star(...)`` it neither sorts nor checks."""
+    """A star on an int center and leaves the caller holds as an ascending
+    tuple of distinct ints; unlike ``Star(...)`` it neither sorts nor checks."""
     return tuple.__new__(Star, (center, leaves))
 
 
@@ -143,14 +152,23 @@ class _DesignFields(NamedTuple):
 
 
 class PartialDesign(_DesignFields):
-    """A partial k-star design: order ``n``, star size ``k``, star list."""
+    """A partial k-star design: order ``n``, star size ``k``, star list.
+
+    ``PartialDesign(n, k, stars)`` refuses with ``ValueError`` an n or k that
+    is not an ``int`` (a bool included), before it reads the stars, and turns
+    a plain ``(center, leaves)`` pair into a ``Star``, with its leaves sorted,
+    so validation and completion read the same stars.  The rules on values,
+    such as ranges and edge-disjointness, are :meth:`validate`'s.
+    """
 
     __slots__ = ()
 
     def __new__(cls, n: int, k: int, stars: Iterable[Star] = ()) -> "PartialDesign":
+        if type(n) is not int:
+            raise ValueError("'n' must be an integer")
+        if type(k) is not int:
+            raise ValueError("'k' must be an integer")
         stars = tuple(stars)
-        # a plain (center, leaves) pair becomes a Star, with its leaves
-        # sorted, so validation and completion read the same stars
         if {*map(type, stars)} - {Star}:
             stars = tuple([s if isinstance(s, Star) else Star(*s) for s in stars])
         return tuple.__new__(cls, (n, k, stars))
@@ -174,32 +192,22 @@ class PartialDesign(_DesignFields):
             # the marked diagonal and a repeated edge its own mark
             seen = bytearray(n * n)
             seen[::n + 1] = b"\x01" * n
-            try:
-                for center, leaves in stars:
-                    if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
-                        break
-                    for leaf in leaves:
-                        seen[center * n + leaf if center < leaf else leaf * n + center] = 1
-                else:
-                    if seen.count(1) == n + leaves_held:
-                        return []
-            except TypeError:
-                pass  # a vertex that is not an int, which the loop words
+            for center, leaves in stars:
+                if len(leaves) != k or not (0 <= center < n and 0 <= leaves[0] and leaves[-1] < n):
+                    break
+                for leaf in leaves:
+                    seen[center * n + leaf if center < leaf else leaf * n + center] = 1
+            else:
+                if seen.count(1) == n + leaves_held:
+                    return []
         out: list[str] = []
         if n < 1:
             out.append(f"n must be >= 1, got {n}")
         if k < 2:
             out.append(f"k must be >= 2, got {k}")
-        all_ints = {*map(type, chain(map(itemgetter(0), stars), *map(itemgetter(1), stars)))} <= {int}
         # a covered edge {a, b}, a < b, is keyed by the int a * n + b
         covered: dict[int, int] = {}
         for i, (center, leaves) in enumerate(self.stars):
-            if not all_ints:  # a star with a vertex that is no int gets no other check
-                odd = [f"star {i}: {'leaf' if j else 'center'} {v!r} is not an integer"
-                       for j, v in enumerate((center, *leaves)) if not isinstance(v, int)]
-                if odd:
-                    out += odd
-                    continue
             ok = 0 <= center < n
             if not ok:
                 out.append(f"star {i}: center {center} out of range")
@@ -295,19 +303,17 @@ def design_to_doc(design: PartialDesign) -> dict:
 def design_from_doc(doc: object) -> PartialDesign:
     """Parse a design document; unknown keys are ignored.
 
-    Raises ValueError with a description of the first structural problem,
-    such as a star whose leaves list repeats a vertex.
+    Raises ValueError with a description of the first problem: one of the
+    document's shape, or the refusal of ``PartialDesign()`` or ``Star()``,
+    prefixed ``star i: `` for the star at index i.
     """
     if not isinstance(doc, dict):
         raise ValueError("design document must be a JSON object")
     for key in ("n", "k", "stars"):
         if key not in doc:
             raise ValueError(f"design document missing key {key!r}")
-    n, k, stars = doc["n"], doc["k"], doc["stars"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError("'n' must be an integer")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError("'k' must be an integer")
+    design = PartialDesign(doc["n"], doc["k"])  # n and k come before the stars
+    stars = doc["stars"]
     if not isinstance(stars, list):
         raise ValueError("'stars' must be a list")
     parsed: list[Star] = []
@@ -316,20 +322,13 @@ def design_from_doc(doc: object) -> PartialDesign:
             raise ValueError(f"star {i} must be an object")
         if "center" not in item or "leaves" not in item:
             raise ValueError(f"star {i} must have 'center' and 'leaves'")
-        center, leaves = item["center"], item["leaves"]
-        if not isinstance(center, int) or isinstance(center, bool):
-            raise ValueError(f"star {i}: 'center' must be an integer")
-        if not isinstance(leaves, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in leaves
-        ):
-            raise ValueError(f"star {i}: 'leaves' must be a list of integers")
-        # Star() would drop a repeat, so a document could pass k + 1 entries
-        # off as a k-star
-        distinct = set(leaves)
-        if len(distinct) != len(leaves):
-            raise ValueError(f"star {i}: 'leaves' repeats a vertex")
-        parsed.append(_star(center, tuple(sorted(distinct))))
-    return PartialDesign(n, k, tuple(parsed))
+        leaves = item["leaves"]
+        try:
+            # Star() checks the center first; leaves that are no list read as a bad leaf
+            parsed.append(Star(item["center"], leaves if isinstance(leaves, list) else [None]))
+        except ValueError as exc:
+            raise ValueError(f"star {i}: {exc}") from None
+    return design._replace(stars=parsed)
 
 
 def canonical_dumps(doc: object) -> str:

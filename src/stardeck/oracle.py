@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .designs import Graph, PartialDesign, Star, _members
+from .designs import Graph, PartialDesign, Star, _members, _star
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -71,7 +71,7 @@ def decompose_exhaustive(
                     adj[center].discard(y)
                     adj[y].discard(center)
                 if not any(blocked(x) for x in (center,) + leaves):
-                    stars.append(Star(center, leaves))
+                    stars.append(_star(center, tuple(sorted(leaves))))
                     yield True
                     stars.pop()
                 for y in leaves:

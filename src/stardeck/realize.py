@@ -14,7 +14,7 @@ from itertools import filterfalse
 from typing import NamedTuple
 
 from .designs import Graph, Star, _members, _star
-from .precentral import Precentral, VertexFunction, suitable, vertex_values
+from .precentral import Precentral, VertexFunction, suitable
 
 
 class Infeasible(NamedTuple):
@@ -90,10 +90,9 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     (all supply-demand slack lives outside the reachable region, so the
     unreachable vertices have demand exceeding their incident edges).
     """
-    values = Precentral.of_graph(graph, k, vertex_values(p, graph.n)).values
+    values = Precentral.of_graph(graph, k, p).values
     n = graph.n
-    cap = [k * v for v in values]
-    used = [0] * n
+    room = [k * v for v in values]
     # holder[x] lists the far ends of the edges handed to x, in hand-over order
     holder: list[list[int]] = [[] for _ in range(n)]
 
@@ -102,9 +101,9 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
         hx = holder[x]
         for z in filterfalse(visited.__contains__, hx):
             visited.add(z)
-            if used[z] < cap[z]:
+            if room[z]:
                 holder[z].append(x)
-                used[z] += 1
+                room[z] -= 1
             elif not place(x, z, visited):
                 continue
             hx.remove(z)
@@ -116,17 +115,17 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     unplaced: list[tuple[int, int]] = []
     for a, row in enumerate(graph.rows):
         later = _members(row & -(2 << a), labels)
-        # used[a] never falls, so a takes exactly its row's leading edges
-        taken = later[:cap[a] - used[a]]
+        # room[a] never rises, so a takes exactly its row's leading edges
+        taken = later[:room[a]]
         holder[a].extend(taken)
-        used[a] += len(taken)
+        room[a] -= len(taken)
         for b in later[len(taken):]:
             visited = {a}
             if place(b, a, visited):
                 continue
-            if used[b] < cap[b]:
+            if room[b]:
                 holder[b].append(a)
-                used[b] += 1
+                room[b] -= 1
                 continue
             visited.add(b)
             if not place(a, b, visited):
@@ -155,7 +154,7 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
 
     stars: list[Star] = []
     for v in labels:
-        assert used[v] == cap[v]
+        assert not room[v]
         others = tuple(sorted(holder[v]))
         holder[v].clear()  # release the search state as the stars replace it
         for i in range(0, len(others), k):

@@ -133,11 +133,6 @@ def validate_reference(design: PartialDesign) -> list[str]:
     # a covered edge {a, b}, a < b, is keyed by the int a * n + b
     covered: dict[int, int] = {}
     for i, (center, leaves) in enumerate(design.stars):
-        odd = [f"star {i}: {'leaf' if j else 'center'} {v!r} is not an integer"
-               for j, v in enumerate((center, *leaves)) if not isinstance(v, int)]
-        if odd:
-            out += odd
-            continue
         ok = 0 <= center < n
         if not ok:
             out.append(f"star {i}: center {center} out of range")

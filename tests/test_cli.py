@@ -22,6 +22,7 @@ from stardeck import (
     dumps_design,
     gen_uncompletable,
     has_completion,
+    loads_design,
 )
 from stardeck.cli import main
 
@@ -363,6 +364,43 @@ def test_bad_file_is_one_line_input_error(capsys, tmp_path, command, case):
         assert err.startswith(f"cannot read {path}: ")
     if case == "repeated-leaf":
         assert err == "star 0: 'leaves' repeats a vertex\n"
+
+
+# (n, k, stars as plain (center, leaves) pairs, the last one at fault when any,
+# and the library's refusal)
+_MALFORMED_SHAPES = {
+    "repeated-leaf-k+1": (5, 2, [(0, [1, 1, 2])], "'leaves' repeats a vertex"),
+    "repeated-leaf-k": (6, 3, [(0, [2, 1, 2])], "'leaves' repeats a vertex"),
+    "float-leaf": (5, 2, [(3, [0, 1]), (0, [1.5, 2])], "'leaves' must be a list of integers"),
+    "float-center": (5, 2, [(2.0, [0, 1])], "'center' must be an integer"),
+    "float-center-leaves-not-a-list": (5, 2, [(2.0, 5)], "'center' must be an integer"),
+    "bool-leaf": (5, 2, [(0, [True, 2])], "'leaves' must be a list of integers"),
+    "str-n": ("5", 2, [], "'n' must be an integer"),
+    "bool-k": (5, True, [], "'k' must be an integer"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_SHAPES))
+def test_library_and_cli_refuse_the_same_shapes(capsys, tmp_path, case):
+    n, k, pairs, message = _MALFORMED_SHAPES[case]
+    with pytest.raises(ValueError) as info:
+        PartialDesign(n, k, pairs)
+    assert str(info.value) == message
+    if pairs:
+        with pytest.raises(ValueError) as info:
+            Star(*pairs[-1])
+        assert str(info.value) == message
+        message = f"star {len(pairs) - 1}: {message}"
+    text = json.dumps({"n": n, "k": k,
+                       "stars": [{"center": c, "leaves": leaves} for c, leaves in pairs]})
+    with pytest.raises(ValueError) as info:
+        loads_design(text)
+    assert str(info.value) == message
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    for command in ("complete", "verify", "oracle", "precentral"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
 
 
 _INVALID_ORDERS = {

@@ -113,8 +113,8 @@ def test_sorted_edges_returns_a_fresh_list():
 
 
 @pytest.mark.parametrize("leaves", [
-    [3, 1, 2], {1, 2, 3}, (3, 2, 1), frozenset({2, 3, 1}), [3, 1, 1, 2],
-    (x for x in (2, 3, 1, 3)),
+    [3, 1, 2], {1, 2, 3}, (3, 2, 1), frozenset({2, 3, 1}), range(3, 0, -1),
+    (x for x in (2, 3, 1)),
 ])
 def test_star_leaves_are_always_a_sorted_tuple(leaves):
     s = Star(0, leaves)
@@ -150,8 +150,23 @@ def test_repeated_json_leaf_is_refused(text):
     with pytest.raises(ValueError) as info:
         loads_design(text)
     assert str(info.value) == "star 0: 'leaves' repeats a vertex"
-    # the library's Star() still drops repeats
-    assert Star(0, [2, 1, 2]) == Star(0, (1, 2))
+    # the library's Star() refuses the repeat too
+    with pytest.raises(ValueError, match="^'leaves' repeats a vertex$"):
+        Star(0, [2, 1, 2])
+
+
+@pytest.mark.parametrize("star, problem", [
+    ('{"center":0,"leaves":5}', "'leaves' must be a list of integers"),
+    ('{"center":0,"leaves":{}}', "'leaves' must be a list of integers"),
+    ('{"center":0,"leaves":"12"}', "'leaves' must be a list of integers"),
+    ('{"center":0,"leaves":null}', "'leaves' must be a list of integers"),
+    ('{"center":1.5,"leaves":5}', "'center' must be an integer"),
+    ('{"center":true,"leaves":[1,1]}', "'center' must be an integer"),
+])
+def test_json_leaves_that_are_no_list_are_refused_after_the_center(star, problem):
+    with pytest.raises(ValueError) as info:
+        loads_design('{"n":5,"k":2,"stars":[{"center":3,"leaves":[0,1]},' + star + "]}")
+    assert str(info.value) == "star 1: " + problem
 
 
 # ----------------------------------------------------------- admissibility / u
@@ -244,14 +259,15 @@ def test_validate_leaf_out_of_range():
 
 
 @pytest.mark.parametrize("n", [5, 40])  # byte table first, loop only
-def test_validate_words_a_vertex_that_is_not_an_integer(n):
-    d = PartialDesign(n, 2, [(0, (1.5, 2)), (2.0, (3, 4))])
-    assert d.validate() == [
-        "star 0: leaf 1.5 is not an integer",
-        "star 1: center 2.0 is not an integer",
-    ] == validate_reference(d)
-    with pytest.raises(ValueError, match="leaf 1.5 is not an integer"):
-        complete(d)
+def test_a_vertex_that_is_not_an_integer_is_refused_on_construction(n):
+    # a ValueError, never a TypeError from validate() or complete()
+    with pytest.raises(ValueError, match="^'leaves' must be a list of integers$"):
+        PartialDesign(n, 2, [(0, (1.5, 2)), (2, (3, 4))])
+    with pytest.raises(ValueError, match="^'center' must be an integer$"):
+        PartialDesign(n, 2, [(0, (1, 2)), (2.0, (3, 4))])
+    d = PartialDesign(n, 2, [(0, (1, 2)), (2, (3, 4))])
+    assert d.validate() == [] == validate_reference(d)
+    assert complete(d).outcome == "completed"
 
 
 def test_validate_names_first_coverer_of_each_repeat():

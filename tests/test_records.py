@@ -103,8 +103,14 @@ def test_make_and_replace_normalize_stars():
     replaced = PartialDesign(5, 2)._replace(stars=[(0, (2, 1))])
     assert replaced.stars == (Star(0, (1, 2)),)
     assert [type(star) for star in replaced.stars] == [Star]
-    made = Star._make((0, (3, 1, 1)))
+    made = Star._make((0, (3, 1)))
     assert made == Star(0, (1, 3)) and made.leaves == (1, 3)
+    with pytest.raises(ValueError, match="^'leaves' repeats a vertex$"):
+        Star._make((0, (3, 1, 1)))
+    with pytest.raises(ValueError, match="^'leaves' repeats a vertex$"):
+        made._replace(leaves=(3, 3))
+    with pytest.raises(ValueError, match="^'k' must be an integer$"):
+        replaced._replace(k=2.0)
 
 
 @pytest.mark.parametrize("record, other, values, text", RECORDS, ids=IDS)
