@@ -81,6 +81,35 @@ def test_search_is_deterministic():
     assert decompose_exhaustive(g, 3) == decompose_exhaustive(g, 3)
 
 
+# over-threshold designs (n, k, stars, seed) whose leftover construct() cannot
+# decompose, with the search's (status, nodes): a change to the order in which
+# the search tries its candidates shows here as a different node count
+SEARCH_ORDER = [
+    (10, 5, 3, 101, "none", 344),
+    (11, 5, 4, 117, "found", 11),
+    (11, 5, 4, 177, "found", 87),
+    (10, 5, 4, 326, "none", 22),
+    (11, 5, 3, 372, "found", 27),
+    (11, 5, 5, 462, "none", 22),
+    (9, 3, 7, 527, "found", 6),
+    (9, 4, 3, 624, "found", 7),
+    (10, 5, 4, 1106, "none", 30),
+    (11, 5, 4, 1197, "none", 950),
+    (9, 3, 6, 1562, "found", 9),
+    (11, 5, 4, 1617, "found", 121),
+]
+
+
+@pytest.mark.parametrize("n, k, stars, seed, status, nodes", SEARCH_ORDER)
+def test_search_visits_the_pinned_number_of_nodes(n, k, stars, seed, status, nodes):
+    left = seeded_design(n, k, stars, seed).leftover()
+    assert construct(left, k) is None
+    res = decompose_exhaustive(left, k)
+    assert (res.status, res.nodes) == (status, nodes)
+    if status == "found":
+        assert verify_decomposition(left, k, res.stars)
+
+
 def test_rejects_k_below_two():
     with pytest.raises(ValueError):
         decompose_exhaustive(Graph(4, combinations(range(4), 2)), 1)

@@ -294,6 +294,36 @@ def test_realize_matches_edge_index_reference(instance):
     assert realize(g, k, p) == _realize_reference(g, k, p)
 
 
+def test_realize_matches_edge_index_reference_at_threshold_scale():
+    # the property above stops at n = 14, where augmenting chains are short;
+    # here leftovers of designs with u .. u + 2 stars run to n = 100, and
+    # small ones with up to u + 6 stars give the infeasible functions, whose
+    # witnesses must match too
+    rng = random.Random(2)
+    feasible = infeasible = largest = 0
+    while feasible + infeasible < 120:
+        k = rng.randint(3, 5)
+        small = (feasible + infeasible) % 2
+        n = rng.randint(2 * k, 20 if small else 100)
+        if not is_admissible(n, k):
+            continue
+        extra = rng.randint(1, 6) if small else rng.randint(0, 2)
+        try:
+            d = random_design(n, k, threshold_u(n, k) + extra, rng)
+        except ValueError:
+            continue
+        left = d.leftover()
+        p = suitable(left, k)
+        out = realize(left, k, p)
+        assert out == _realize_reference(left, k, p)
+        if isinstance(out, Infeasible):
+            infeasible += 1
+        else:
+            feasible += 1
+            largest = max(largest, n)
+    assert infeasible >= 5 and largest >= 90
+
+
 # ---------------------------------------------------------- max-flow cross-check
 
 
