@@ -322,6 +322,11 @@ def test_realize_matches_edge_index_reference_at_threshold_scale():
             feasible += 1
             largest = max(largest, n)
     assert infeasible >= 5 and largest >= 90
+    # at the benchmark's orders relocation chains run to hundreds of calls
+    for n, k in ((300, 3), (297, 4), (301, 5)):
+        left = random_design(n, k, threshold_u(n, k), rng).leftover()
+        p = suitable(left, k)
+        assert realize(left, k, p) == _realize_reference(left, k, p)
 
 
 # ---------------------------------------------------------- max-flow cross-check
