@@ -285,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except ValueError as exc:
-        # input errors: an unreadable or invalid design document, or
+        # input errors: an unreadable, invalid or too large design, or
         # arguments out of range, --budget among them
         _err(str(exc))
         return 2
@@ -293,12 +293,6 @@ def main(argv: list[str] | None = None) -> int:
         # an order too large for this machine is an input error too, whether
         # its tables exhaust memory or its size does not fit in a C index
         _err("out of memory: the design is too large for this machine")
-        return 2
-    except RecursionError:
-        # realize() follows each chain of edge relocations by recursion, so
-        # a large enough order outgrows Python's call stack; that is a design
-        # too large, not a negative answer
-        _err("design too large: the construction exceeded Python's recursion limit")
         return 2
     except OSError as exc:
         # a full disk or a pipe closed by its reader; stdout then points at

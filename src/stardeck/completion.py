@@ -225,9 +225,12 @@ def complete(
     The answer of :func:`decide`, whose stars are accepted only after the
     merge check.  Designs with at most u(n, k) stars on admissible orders
     n >= 2k always come back "completed" (anything else raises
-    CompletionDefect).  Over the threshold the answer is "completed", a
-    certified "impossible", or "unknown" when the exhaustive search runs out
-    of its ``oracle_budget`` nodes.  k = 2 is always decided, by pairing.
+    CompletionDefect), unless the construction outgrows Python's recursion
+    limit: that raises ValueError, "design too large: the construction
+    exceeded Python's recursion limit".  Over the threshold the answer is
+    "completed", a certified "impossible", or "unknown" when the exhaustive
+    search runs out of its ``oracle_budget`` nodes.  k = 2 is always
+    decided, by pairing.
     """
     trace: list[str] = ["validated"]
     outcome, stars, reason, certificate = decide(design, oracle_budget, trace)

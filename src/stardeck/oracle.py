@@ -104,8 +104,8 @@ def has_completion(design: PartialDesign, budget: int = DEFAULT_BUDGET) -> str:
     """"yes", "no", or "unknown": can the design be completed at all?
 
     The outcome of :func:`stardeck.completion.decide`, the decision that
-    ``complete`` makes too; ValueError on an invalid design.  "unknown" comes
-    only when the search runs out of its node budget.
+    ``complete`` makes too, with its ValueError on an invalid or too large
+    design.  "unknown" comes only when the search runs out of its node budget.
     """
     # completion imports the search from here, so decide is imported late
     from .completion import decide

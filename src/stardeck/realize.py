@@ -81,6 +81,26 @@ def decompose_2stars(graph: Graph) -> list[Star] | Infeasible:
     return stars
 
 
+def _place(y: int, x: int, visited: set[int], holder: list[list[int]],
+           room: list[int]) -> bool:
+    # hand edge {x, y} to the full vertex x by relocating one of its edges
+    hx = holder[x]
+    # no filterfalse: building it per call made realize 1.37x slower
+    for z in hx:
+        if z in visited:
+            continue
+        visited.add(z)
+        if room[z]:
+            holder[z].append(x)
+            room[z] -= 1
+        elif not _place(x, z, visited, holder, room):
+            continue
+        hx.remove(z)
+        hx.append(y)
+        return True
+    return False
+
+
 def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     """A k-star decomposition of the graph with center counts p, if one exists.
 
@@ -89,6 +109,7 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     the other endpoint's index.  On infeasibility returns the witness subset
     (all supply-demand slack lives outside the reachable region, so the
     unreachable vertices have demand exceeding their incident edges).
+    A relocation chain past Python's recursion limit raises ValueError.
     """
     values = Precentral.of_graph(graph, k, p).values
     n = graph.n
@@ -96,79 +117,57 @@ def realize(graph: Graph, k: int, p: VertexFunction) -> list[Star] | Infeasible:
     # holder[x] lists the far ends of the edges handed to x, in hand-over order
     holder: list[list[int]] = [[] for _ in range(n)]
 
-    def place(y: int, x: int, visited: set[int]) -> bool:
-        # hand edge {x, y} to the full vertex x by relocating one of its edges
-        hx = holder[x]
-        # no filterfalse: building it per call made realize 1.37x slower
-        for z in hx:
-            if z in visited:
-                continue
-            visited.add(z)
-            if room[z]:
-                holder[z].append(x)
-                room[z] -= 1
-            elif not place(x, z, visited):
-                continue
-            hx.remove(z)
-            hx.append(y)
-            return True
-        return False
-
     labels = [*range(n)]
     unplaced: list[tuple[int, int]] = []
-    for a, row in enumerate(graph.rows):
-        later = _members(row & -(2 << a), labels)
-        # room[a] never rises, so a takes exactly its row's leading edges
-        taken = later[:room[a]]
-        held = holder[a]
-        held.extend(taken)
-        room[a] -= len(taken)
-        for b in later[len(taken):]:
-            # place(b, a, {a}) would try held[0] first, as nothing is visited
-            # yet; that step runs here, which saves a call per search and
-            # ends over a third of them without one
-            if held:
-                z = held[0]
-                if room[z]:
-                    holder[z].append(a)
-                    room[z] -= 1
-                    moved = True
+    try:
+        for a, row in enumerate(graph.rows):
+            later = _members(row & -(2 << a), labels)
+            # room[a] never rises, so a takes exactly its row's leading edges
+            taken = later[:room[a]]
+            held = holder[a]
+            held.extend(taken)
+            room[a] -= len(taken)
+            for b in later[len(taken):]:
+                # _place(b, a, {a}, ...) would try held[0] first, as nothing
+                # is visited yet; that step runs here, which saves a call per
+                # search and ends over a third of them without one
+                if held:
+                    z = held[0]
+                    if room[z]:
+                        holder[z].append(a)
+                        room[z] -= 1
+                        moved = True
+                    else:
+                        visited = {a, z}
+                        moved = _place(a, z, visited, holder, room)
+                    if moved:
+                        held.pop(0)
+                        held.append(b)
+                        continue
+                    if _place(b, a, visited, holder, room):  # skips z
+                        continue
                 else:
-                    visited = {a, z}
-                    moved = place(a, z, visited)
-                if moved:
-                    del held[0]
-                    held.append(b)
+                    visited = {a}
+                if room[b]:
+                    holder[b].append(a)
+                    room[b] -= 1
                     continue
-                if place(b, a, visited):  # skips z, tries the rest of held
-                    continue
-            else:
-                visited = {a}
-            if room[b]:
-                holder[b].append(a)
-                room[b] -= 1
-                continue
-            visited.add(b)
-            if not place(a, b, visited):
-                unplaced.append((a, b))
-    # place refers to itself; unbinding it breaks that cycle, so the closure
-    # and the search state it holds are freed without the cyclic collector
-    del place
+                visited.add(b)
+                if not _place(a, b, visited, holder, room):
+                    unplaced.append((a, b))
+    except RecursionError:
+        # one call per relocation: the design is too large, not infeasible
+        raise ValueError("design too large: the construction exceeded"
+                         " Python's recursion limit") from None
 
     if unplaced:
         reached: set[int] = set()
-        frontier: list[int] = []
-        for edge in unplaced:
-            for x in edge:
-                if x not in reached:
-                    reached.add(x)
-                    frontier.append(x)
-        while frontier:
-            x = frontier.pop()
-            for y in holder[x]:
-                if y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
+        stack = [*chain.from_iterable(unplaced)]
+        while stack:
+            x = stack.pop()
+            if x not in reached:
+                reached.add(x)
+                stack.extend(holder[x])
         witness = frozenset(range(n)) - reached
         assert witness and len(witness) < n
         return Infeasible("cut", witness)

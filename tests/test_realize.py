@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import importlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -13,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 from stardeck import (
     Graph,
     Infeasible,
+    PartialDesign,
     Star,
+    complete,
     construct,
     decompose_exhaustive,
     is_admissible,
     minimal,
+    pad_to_threshold,
     random_design,
     realize,
     suitable,
@@ -69,15 +73,43 @@ def test_realize_single_star_leaf_is_infeasible():
     assert delta_t(g, 3, [0, 1, 0, 0], out.vertices) < 0
 
 
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _value_error_text(call, *args) -> str | None:
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_realize_leaves_nothing_for_the_cyclic_collector():
+    # on all three exits: a decomposition, Infeasible, and a relocation chain
+    # deeper than the recursion limit, which is the CLI's one-line input error
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    leftover = pad_to_threshold(PartialDesign(301, 3)).leftover()
+    p = suitable(leftover, 3)
+    too_large = "design too large: the construction exceeded Python's recursion limit"
+    limit = sys.getrecursionlimit()
     gc.collect()
     gc.disable()
     try:
         assert not isinstance(realize(g, 3, [1, 0, 0, 0]), Infeasible)
         assert isinstance(realize(g, 3, [0, 1, 0, 0]), Infeasible)
         assert gc.collect() == 0
+        # pytest's own frames count against the limit, so it is set relative
+        # to this one: 100 frames are far fewer than n = 301's deepest chain
+        sys.setrecursionlimit(_frame_depth() + 100)
+        assert _value_error_text(realize, leftover, 3, p) == too_large
+        assert _value_error_text(complete, PartialDesign(301, 3)) == too_large
+        assert gc.collect() == 0
     finally:
+        sys.setrecursionlimit(limit)
         gc.enable()
 
 
