@@ -111,6 +111,16 @@ def test_realize_leaves_nothing_for_the_cyclic_collector():
     finally:
         sys.setrecursionlimit(limit)
         gc.enable()
+    # no search state outlives its call, the overflowed one included: the
+    # same graph realizes as the reference does at once and after another
+    # graph, whose one search needs vertex 2 and so must not find it marked
+    # by a first call
+    expected = _realize_reference(leftover, 3, p)
+    assert realize(leftover, 3, p) == expected
+    h = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3)])
+    for _ in range(2):
+        assert realize(h, 3, [1, 0, 1, 0, 0]) == _realize_reference(h, 3, [1, 0, 1, 0, 0])
+    assert realize(leftover, 3, p) == expected
 
 
 def test_realize_complete_graph_minimal():
